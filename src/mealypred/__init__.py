@@ -41,7 +41,6 @@ from .evaluation import (
     evaluate_exhaustive,
     evaluate_monte_carlo,
     find_selection_witness,
-    predictor_machine_error,
 )
 from .machines import (
     alternating_ring,
@@ -67,7 +66,6 @@ from .predictors import (
 )
 from .search import (
     SearchResult,
-    automaton_as_predictor,
     search_after_training,
     search_best_predictor,
 )

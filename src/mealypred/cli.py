@@ -4,9 +4,9 @@ Every subcommand resolves its inputs into a plain config dictionary, executes
 it through a shared dispatcher, and embeds the resolved config in the report,
 so any report can be re-run bit-for-bit with ``mealypred replay``. Structured
 output is JSON with stable field order; exact rationals appear as "num/den"
-strings. Presentation and execution details (output format, worker count,
-timestamps) are not part of the config, so reports stay byte-identical across
-worker counts.
+strings. Presentation details (output format, timestamps) are not part of the
+config. ``evaluate``, ``search`` and ``replay`` accept ``--workers`` for
+compatibility and ignore it: every command runs in one process.
 
 Exit codes: 0 success, 2 usage or parse error, 3 cap refusal, 4 data
 inconsistent with every assumed machine.
@@ -209,14 +209,12 @@ def _exec_evaluate(config: dict) -> dict:
     predictor = _build_predictor(
         config["predictor"], machine, predictor_machine, candidates
     )
-    workers = config.pop("_workers", 1)
     if config["method"] == "exhaustive":
         report = evaluate_exhaustive(
             machine,
             predictor,
             config["t"],
             cap=config["cap_t"],
-            workers=workers,
             per_step=config["per_step"],
         )
     else:
@@ -226,7 +224,6 @@ def _exec_evaluate(config: dict) -> dict:
             config["t"],
             config["samples"],
             config["seed"],
-            workers=workers,
             per_step=config["per_step"],
         )
     return {
@@ -279,7 +276,6 @@ def _exec_enumerate(config: dict) -> dict:
 
 def _exec_search(config: dict) -> dict:
     targets = [_load_machine(p) for p in config["targets"]]
-    workers = config.pop("_workers", 1)
     if config.get("after_training"):
         result = search_after_training(
             targets,
@@ -294,7 +290,6 @@ def _exec_search(config: dict) -> dict:
             config["k"],
             config["t"],
             top_n=config["top_n"],
-            workers=workers,
             cap=config["cap_t"],
         )
     return {
@@ -314,18 +309,12 @@ _EXECUTORS = {
 }
 
 
-def _execute(config: dict, workers: int = 1) -> dict:
-    command = config["command"]
-    body = dict(config)
-    body.pop("command")
-    if workers != 1:
-        body["_workers"] = workers
-    payload = _EXECUTORS[command](body)
-    body.pop("_workers", None)
+def _execute(config: dict) -> dict:
+    payload = _EXECUTORS[config["command"]](config)
     return {
         "tool": "mealypred",
         "version": __version__,
-        "command": command,
+        "command": config["command"],
         "config": config,
         "machines": payload["machines"],
         "result": payload["result"],
@@ -390,9 +379,17 @@ def _emit(report: dict, fmt: str, out: str | None, timestamps: bool):
         click.echo(text, nl=False)
 
 
-def _run_command(config: dict, fmt: str, out: str | None, timestamps: bool, workers: int = 1):
+def _run_command(
+    config: dict, fmt: str, out: str | None, timestamps: bool, source: str | None = None
+):
+    """Execute a config and emit its report; ``source`` names a replayed file."""
     try:
-        report = _execute(config, workers)
+        report = _execute(config)
+    except KeyError as e:
+        if source is None:
+            raise
+        click.echo(f"error: {source}: config lacks {e.args[0]!r}", err=True)
+        sys.exit(EXIT_USAGE)
     except (InconsistentObservation, InconsistentTrainingData) as e:
         click.echo(f"inconsistent data: {e}", err=True)
         sys.exit(EXIT_INCONSISTENT)
@@ -416,6 +413,20 @@ def _format_options(fn):
         help="Include a timestamp in human output.",
     )(fn)
     return fn
+
+
+_workers_option = click.option(
+    "--workers", type=int, default=1, show_default=True,
+    help="Accepted for compatibility; ignored, every command runs in one process.",
+)
+
+
+def _check_cap(what: str, cap_t: int, big_ok: bool) -> None:
+    if cap_t > EXHAUSTIVE_T_CAP and not big_ok:
+        raise click.UsageError(
+            f"{what} {cap_t} exceeds the default {EXHAUSTIVE_T_CAP}; "
+            "acknowledge with --i-know-this-is-big"
+        )
 
 
 _PREDICTOR_CHOICES = click.Choice(
@@ -494,16 +505,12 @@ def cmd_predict(machine_path, input_bits, predictor, predictor_machine, candidat
               help="Exhaustive horizon cap; raising it needs --i-know-this-is-big.")
 @click.option("--i-know-this-is-big", "big_ok", is_flag=True, default=False)
 @click.option("--per-step", is_flag=True, default=False, help="Include per-step error averages.")
-@click.option("--workers", type=int, default=1, show_default=True)
+@_workers_option
 @_format_options
 def cmd_evaluate(machine_path, predictor, predictor_machine, candidates, t, method,
                  samples, seed, cap_t, big_ok, per_step, workers, fmt, out, timestamps):
     """Average/worst-case prediction error, exact or sampled."""
-    if cap_t > EXHAUSTIVE_T_CAP and not big_ok:
-        raise click.UsageError(
-            f"--cap-t {cap_t} exceeds the default {EXHAUSTIVE_T_CAP}; "
-            "acknowledge with --i-know-this-is-big"
-        )
+    _check_cap("--cap-t", cap_t, big_ok)
     config = {
         "command": "evaluate",
         "machine": machine_path,
@@ -520,7 +527,7 @@ def cmd_evaluate(machine_path, predictor, predictor_machine, candidates, t, meth
     if config["method"] == "monte_carlo":
         config["samples"] = samples
         config["seed"] = seed
-    _run_command(config, fmt, out, timestamps, workers)
+    _run_command(config, fmt, out, timestamps)
 
 
 @main.command("batch-select")
@@ -600,16 +607,12 @@ def cmd_enumerate(k, mode, count_only, cap_k, fmt, out, timestamps):
               help="Continuation length used with --after-training.")
 @click.option("--cap-t", type=int, default=EXHAUSTIVE_T_CAP, show_default=True)
 @click.option("--i-know-this-is-big", "big_ok", is_flag=True, default=False)
-@click.option("--workers", type=int, default=1, show_default=True)
+@_workers_option
 @_format_options
 def cmd_search(targets, k, t, top_n, after_training, continuation, cap_t, big_ok,
                workers, fmt, out, timestamps):
     """Exhaustively find the best k-state predicting automaton."""
-    if cap_t > EXHAUSTIVE_T_CAP and not big_ok:
-        raise click.UsageError(
-            f"--cap-t {cap_t} exceeds the default {EXHAUSTIVE_T_CAP}; "
-            "acknowledge with --i-know-this-is-big"
-        )
+    _check_cap("--cap-t", cap_t, big_ok)
     config = {
         "command": "search",
         "targets": list(targets),
@@ -622,14 +625,16 @@ def cmd_search(targets, k, t, top_n, after_training, continuation, cap_t, big_ok
         bits = _parse_bits(after_training)
         config["after_training"] = str(bits)
         config["continuation"] = continuation
-    _run_command(config, fmt, out, timestamps, workers)
+    _run_command(config, fmt, out, timestamps)
 
 
 @main.command("replay")
 @click.argument("config_file", type=str)
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--i-know-this-is-big", "big_ok", is_flag=True, default=False,
+              help="Allow a config whose cap_t exceeds the default cap.")
+@_workers_option
 @_format_options
-def cmd_replay(config_file, workers, fmt, out, timestamps):
+def cmd_replay(config_file, big_ok, workers, fmt, out, timestamps):
     """Re-run an experiment from a config file or a previous report."""
     try:
         data = json.loads(_read_text(config_file))
@@ -640,7 +645,8 @@ def cmd_replay(config_file, workers, fmt, out, timestamps):
     if "command" not in config or config["command"] not in _EXECUTORS:
         click.echo(f"error: {config_file}: not a replayable config", err=True)
         sys.exit(EXIT_USAGE)
-    _run_command(config, fmt, out, timestamps, workers)
+    _check_cap(f"{config_file}: cap_t", config.get("cap_t", EXHAUSTIVE_T_CAP), big_ok)
+    _run_command(config, fmt, out, timestamps, source=config_file)
 
 
 if __name__ == "__main__":

@@ -1,16 +1,19 @@
 """Error metrics for predictors, exact or sampled, plus batch-mode selection.
 
 The exact evaluators average per-bit prediction error over every input
-sequence of a given length. Three engines produce identical integer error
-totals and are cross-checked in the test suite:
+sequence of a given length with one engine, a merged-frontier pass. The
+per-state counts of input sequences consistent with the observed output are
+the unnormalized forward vector of the machine read as an edge-emitting HMM,
+and expected error is linear in them. So the engine walks the horizon depth
+by depth, keyed by predictor snapshot, and merges every branch that leaves
+the predictor in an equal state: ``e_ave``, ``e_wc`` and the per-step errors
+come out exact for every predictor. The same pass, started from a training
+prefix's consistency profile, scores batch continuations. Predictors without
+``snapshot``/``restore`` fall back to a per-sequence loop over all inputs.
 
-* a vectorized sweep that simulates all sequences in parallel (state-informed
-  and automaton predictors);
-* a class-tree walk that visits each realizable output prefix once, weighting
-  it by how many input sequences produce it (any predictor that can snapshot
-  its internal state — predictions depend only on the observed prefix, so all
-  sequences sharing a prefix share predictions and errors);
-* a plain per-sequence loop, the reference semantics and final fallback.
+Monte Carlo estimates sample input sequences and run them through vectorized
+numpy sweeps for the built-in predictor kinds, or through the per-sequence
+loop for any other predictor.
 
 Predictors whose machine model is contradicted by an observation are scored
 leniently here: a dead model keeps emitting the tie-rule 0. This makes
@@ -19,11 +22,10 @@ cross-machine scores and batch continuation scores well-defined.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -41,7 +43,6 @@ from .predictors import (
 
 EXHAUSTIVE_T_CAP = 24
 PAIR_BUDGET_LOG2 = 26
-_BLOCK = 1 << 20
 _VEC_T_LIMIT = 62  # consistency counts fit in int64 up to here
 
 
@@ -110,20 +111,18 @@ def _rational_str(x) -> str:
 @contextmanager
 def _lenient(predictor: Predictor):
     """Temporarily disable strict inconsistency errors on model-tracking predictors."""
-    toggled = []
-    for obj in (predictor,):
-        if isinstance(obj, (ConsistencyPredictor, EnsemblePredictor)) and obj.strict:
-            obj.strict = False
-            toggled.append(obj)
+    toggle = isinstance(predictor, (ConsistencyPredictor, EnsemblePredictor)) and predictor.strict
+    if toggle:
+        predictor.strict = False
     try:
         yield
     finally:
-        for obj in toggled:
-            obj.strict = True
+        if toggle:
+            predictor.strict = True
 
 
 # ---------------------------------------------------------------------------
-# vectorized sweeps (exact integer error totals)
+# vectorized Monte Carlo sweeps (integer error totals over sampled inputs)
 
 def _sweep_known_state(machine: MealyMachine, t: int, n: int, column) -> tuple[int, int, list[int]]:
     trans = np.asarray(machine.transition, dtype=np.int64)
@@ -205,11 +204,6 @@ def _sweep_constant(machine: MealyMachine, bit: int, t: int, n: int, column) -> 
     return int(seq_err.sum()), int(seq_err.max()), step_totals
 
 
-def _range_columns(lo: int, hi: int):
-    g = np.arange(lo, hi, dtype=np.int64)
-    return hi - lo, lambda i: (g >> i) & 1
-
-
 def _matrix_columns(bits: np.ndarray):
     return bits.shape[0], lambda i: bits[:, i].astype(np.int64)
 
@@ -222,142 +216,80 @@ _SWEEPS = {
 }
 
 
-def _sweep_range_chunk(args) -> tuple[int, int, list[int]]:
-    """Worker body: run one vectorized sweep over a block-split g-range."""
-    kind, params, t, lo, hi = args
-    total, wc = 0, 0
-    step = [0] * t
-    sweep = _SWEEPS[kind]
-    for blo in range(lo, hi, _BLOCK):
-        bhi = min(blo + _BLOCK, hi)
-        n, column = _range_columns(blo, bhi)
-        bt, bw, bs = sweep(*params, t, n, column)
-        total += bt
-        wc = max(wc, bw)
-        step = [a + b for a, b in zip(step, bs)]
-    return total, wc, step
+# ---------------------------------------------------------------------------
+# exact engine
 
-
-def _sweep_matrix_chunk(args) -> tuple[int, int, list[int]]:
-    kind, params, t, bits = args
-    n, column = _matrix_columns(bits)
-    return _SWEEPS[kind](*params, t, n, column)
-
-
-def _run_chunks(worker, chunks, workers: int, t: int) -> tuple[int, int, list[int]]:
-    if workers <= 1 or len(chunks) <= 1:
-        results = [worker(c) for c in chunks]
+def _merge(states: dict, s: int, n: int, errs: int) -> None:
+    """Add ``n`` sequences that end in state ``s`` with at most ``errs`` errors."""
+    if s in states:
+        m, e = states[s]
+        states[s] = (m + n, max(e, errs))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(worker, chunks))
-    total, wc = 0, 0
-    step = [0] * t
-    for bt, bw, bs in results:
-        total += bt
-        wc = max(wc, bw)
-        step = [a + b for a, b in zip(step, bs)]
-    return total, wc, step
+        states[s] = (n, errs)
 
 
-def _generic_range_chunk(args) -> tuple[int, int, list[int]]:
-    machine, predictor, t, lo, hi = args
-    with _lenient(predictor):
-        return _generic_totals(machine, predictor, t, range(lo, hi))
-
-
-def _generic_rows_chunk(args) -> tuple[int, int, list[int]]:
-    machine, predictor, t, bits = args
-    packed = (
-        int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-        for row in bits
-    )
-    with _lenient(predictor):
-        return _generic_totals(machine, predictor, t, packed)
-
-
-def _split_range(n: int, workers: int) -> list[tuple[int, int]]:
-    pieces = max(1, workers)
-    bounds = [n * i // pieces for i in range(pieces + 1)]
-    return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-
-
-# ---------------------------------------------------------------------------
-# class-tree engine
-
-def _tree_totals(
-    machine: MealyMachine,
-    predictor: Predictor,
-    t: int,
-    *,
-    start_state: int | None = None,
-    reset: bool = True,
+def _frontier_totals(
+    machine: MealyMachine, predictor: Predictor, t: int, start: dict[int, int]
 ) -> tuple[int, int, list[int]]:
-    """Exact error totals by visiting each realizable output prefix once.
+    """Exact error totals by one depth-by-depth pass with merged predictor states.
 
-    The per-state vector carries how many input sequences of the current
-    length produce the prefix and end in each state; predictions and errors
-    are shared class-wide, so totals weight each branch by its class size.
+    The frontier maps a predictor snapshot to ``{generator state: (number of
+    input sequences, most errors so far)}``. It starts from the predictor's
+    current state with ``start`` giving the per-state sequence counts. A
+    prediction depends only on the snapshot and the generator state, so
+    prefixes that leave equal snapshots share every later prediction and
+    merge into one node; errors are linear in the counts, and an error at
+    depth ``d`` stands for all ``2**(t - d - 1)`` completions.
     """
-    if reset:
-        predictor.reset()
-    mats = OutputTransitionMatrices.from_machine(machine)
-    rows = (mats.sparse_rows(0), mats.sparse_rows(1))
-    root = [0] * machine.num_states
-    root[machine.initial_state if start_state is None else start_state] = 1
-    total = 0
-    wc = 0
-    step_totals = [0] * t
-
-    def walk(vec, depth, errs):
-        nonlocal total, wc
-        pred = predictor.predict()
-        c0 = advance_counts(vec, rows[0])
-        c1 = advance_counts(vec, rows[1])
-        n0 = sum(c0)
-        n1 = sum(c1)
-        wrong = n1 if pred == 0 else n0
-        weight = 1 << (t - depth - 1)
-        total += wrong * weight
-        step_totals[depth] += wrong * weight
-        for bit, counts, cnt in ((0, c0, n0), (1, c1, n1)):
-            if not cnt:
-                continue
-            e = errs + (1 if pred != bit else 0)
-            if depth + 1 == t:
-                if e > wc:
-                    wc = e
-            else:
-                snap = predictor.snapshot()
-                predictor.observe(bit)
-                walk(counts, depth + 1, e)
+    trans, out = machine.transition, machine.output
+    root = predictor.snapshot()
+    frontier = {root: {s: (n, 0) for s, n in start.items() if n}}
+    step = [0] * t
+    for depth in range(t):
+        nxt: dict = {}
+        wrong = 0
+        for snap, states in frontier.items():
+            children: tuple[dict, dict] = ({}, {})
+            for s, (n, errs) in states.items():
                 predictor.restore(snap)
-
-    walk(root, 0, 0)
-    return total, wc, step_totals
+                predictor.inform_state(s)
+                guess = predictor.predict()
+                for b in (0, 1):
+                    o = out[s][b]
+                    miss = guess != o
+                    wrong += n * miss
+                    _merge(children[o], trans[s][b], n, errs + miss)
+            for o, child in enumerate(children):
+                if child:
+                    predictor.restore(snap)
+                    predictor.observe(o)
+                    merged = nxt.setdefault(predictor.snapshot(), {})
+                    for s, (n, errs) in child.items():
+                        _merge(merged, s, n, errs)
+        step[depth] = wrong << (t - depth - 1)
+        frontier = nxt
+    predictor.restore(root)
+    wc = max((e for states in frontier.values() for _, e in states.values()), default=0)
+    return sum(step), wc, step
 
 
 # ---------------------------------------------------------------------------
-# reference engine
+# per-sequence loop
 
 def _generic_totals(
     machine: MealyMachine,
     predictor: Predictor,
     t: int,
     sequences: Iterable[int],
-    *,
-    rewind: Callable[[], None] | None = None,
-    start_state: int | None = None,
 ) -> tuple[int, int, list[int]]:
-    """Per-sequence reference loop; works for any predictor."""
+    """Per-sequence loop over bit-packed inputs; works for any predictor."""
     trans = machine.transition
     out = machine.output
-    start = machine.initial_state if start_state is None else start_state
-    rewind = rewind or predictor.reset
     total, wc = 0, 0
     step = [0] * t
     for g in sequences:
-        rewind()
-        s = start
+        predictor.reset()
+        s = machine.initial_state
         errs = 0
         for i in range(t):
             b = (g >> i) & 1
@@ -379,7 +311,7 @@ def _generic_totals(
 # dispatch
 
 def _vector_plan(machine: MealyMachine, predictor: Predictor, t: int):
-    """Return (sweep kind, sweep params) when a vectorized engine applies."""
+    """Return (sweep kind, sweep params) when a vectorized sampler applies."""
     if isinstance(predictor, KnownStatePredictor) and predictor.machine == machine:
         return "known_state", (machine,)
     if isinstance(predictor, ConstantPredictor):
@@ -400,21 +332,14 @@ def _supports_snapshot(predictor: Predictor) -> bool:
 
 
 def _exact_totals(
-    machine: MealyMachine, predictor: Predictor, t: int, workers: int
+    machine: MealyMachine, predictor: Predictor, t: int
 ) -> tuple[int, int, list[int]]:
+    """Exact error totals over all ``2**t`` inputs from the initial state."""
     with _lenient(predictor):
-        plan = _vector_plan(machine, predictor, t)
-        if plan is not None:
-            kind, params = plan
-            chunks = [(kind, params, t, lo, hi) for lo, hi in _split_range(1 << t, workers)]
-            return _run_chunks(_sweep_range_chunk, chunks, workers, t)
+        predictor.reset()
         if _supports_snapshot(predictor):
-            return _tree_totals(machine, predictor, t)
-        # arbitrary predictors: each worker replays its own (pickled) instance
-        chunks = [
-            (machine, predictor, t, lo, hi) for lo, hi in _split_range(1 << t, workers)
-        ]
-        return _run_chunks(_generic_range_chunk, chunks, workers, t)
+            return _frontier_totals(machine, predictor, t, {machine.initial_state: 1})
+        return _generic_totals(machine, predictor, t, range(1 << t))
 
 
 def evaluate_exhaustive(
@@ -423,14 +348,13 @@ def evaluate_exhaustive(
     t: int,
     *,
     cap: int = EXHAUSTIVE_T_CAP,
-    workers: int = 1,
     per_step: bool = False,
 ) -> ErrorReport:
     """Exact average and worst-case error over all ``2**t`` input sequences.
 
-    The predictor is reset before each sequence (equivalently, before each
-    branch of the shared observation tree). Horizons above ``cap`` are
-    refused; raise the cap deliberately or use :func:`evaluate_monte_carlo`.
+    The predictor starts every sequence from its reset state. Horizons above
+    ``cap`` are refused; raise the cap deliberately or use
+    :func:`evaluate_monte_carlo`.
     """
     if t < 1:
         raise ValueError("horizon must be at least 1")
@@ -439,7 +363,7 @@ def evaluate_exhaustive(
             f"horizon {t} exceeds the exhaustive cap of {cap} "
             f"(2**{t} sequences); raise the cap explicitly or use Monte Carlo"
         )
-    total, wc, step = _exact_totals(machine, predictor, t, workers)
+    total, wc, step = _exact_totals(machine, predictor, t)
     n = 1 << t
     return ErrorReport(
         machine_id=machine_id(machine),
@@ -459,7 +383,6 @@ def evaluate_monte_carlo(
     samples: int,
     seed: int = 0,
     *,
-    workers: int = 1,
     per_step: bool = False,
 ) -> ErrorReport:
     """Estimate the average error from uniformly sampled input sequences.
@@ -474,16 +397,17 @@ def evaluate_monte_carlo(
         raise ValueError("samples must be positive")
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=(samples, t), dtype=np.uint8)
-    row_chunks = _split_range(samples, workers)
     with _lenient(predictor):
         plan = _vector_plan(machine, predictor, t)
         if plan is not None:
             kind, params = plan
-            chunks = [(kind, params, t, bits[lo:hi]) for lo, hi in row_chunks]
-            total, wc, step = _run_chunks(_sweep_matrix_chunk, chunks, workers, t)
+            total, wc, step = _SWEEPS[kind](*params, t, *_matrix_columns(bits))
         else:
-            chunks = [(machine, predictor, t, bits[lo:hi]) for lo, hi in row_chunks]
-            total, wc, step = _run_chunks(_generic_rows_chunk, chunks, workers, t)
+            packed = (
+                int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+                for row in bits
+            )
+            total, wc, step = _generic_totals(machine, predictor, t, packed)
     return ErrorReport(
         machine_id=machine_id(machine),
         predictor_id=predictor.label,
@@ -497,26 +421,6 @@ def evaluate_monte_carlo(
         wc_is_lower_bound=True,
         per_step_errors=tuple(c / samples for c in step) if per_step else None,
     )
-
-
-def predictor_machine_error(
-    predictor: Predictor,
-    machine: MealyMachine,
-    t: int,
-    *,
-    cap: int = EXHAUSTIVE_T_CAP,
-) -> Fraction:
-    """Exact average error of an arbitrary predictor against a machine.
-
-    The machine need not be the one the predictor assumes; a predictor whose
-    model is contradicted keeps scoring with tie-rule predictions.
-    """
-    if t < 1:
-        raise ValueError("horizon must be at least 1")
-    if t > cap:
-        raise CapExceeded(f"horizon {t} exceeds the exhaustive cap of {cap}")
-    total, _, _ = _exact_totals(machine, predictor, t, workers=1)
-    return Fraction(total, t * (1 << t))
 
 
 # ---------------------------------------------------------------------------
@@ -606,14 +510,13 @@ def _train_predictor(predictor: Predictor, training: Bits) -> tuple[int, bool]:
 
 
 def _continuation_errors(
-    predictor: Predictor, machine: MealyMachine, start_state: int, t: int
+    predictor: Predictor, machine: MealyMachine, profile: Sequence[int], t: int
 ) -> int:
-    """Total continuation errors from the predictor's current knowledge state."""
+    """Total continuation errors from the predictor's current knowledge state,
+    the machine resuming in each state as many times as ``profile`` counts."""
     if isinstance(predictor, KnownStatePredictor):
         raise TypeError("state-informed predictors cannot be scored in the batch setting")
-    snap = predictor.snapshot()
-    total, _, _ = _tree_totals(machine, predictor, t, start_state=start_state, reset=False)
-    predictor.restore(snap)
+    total, _, _ = _frontier_totals(machine, predictor, t, dict(enumerate(profile)))
     return total
 
 
@@ -661,11 +564,7 @@ def batch_select(
             for m, profile, pairs in zip(problem.machines, profiles, pair_counts):
                 if not pairs:
                     continue
-                total = Fraction(0)
-                for s, cnt in enumerate(profile):
-                    if cnt:
-                        errs = _continuation_errors(predictor, m, s, delta)
-                        total += cnt * Fraction(errs, denom)
+                total = Fraction(_continuation_errors(predictor, m, profile, delta), denom)
                 per_machine.append(total if weighting == "pairs" else total / pairs)
             predictor.reset()
         if weighting == "pairs":

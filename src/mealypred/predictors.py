@@ -27,9 +27,12 @@ class InconsistentObservation(ValueError):
 class Predictor(ABC):
     """Online predictor contract; see the module docstring for the protocol.
 
-    Subclasses that can capture their internal state exactly also provide
-    ``snapshot()``/``restore()``, which the exact evaluators use to explore
-    observation trees without replaying prefixes.
+    ``snapshot()``/``restore()`` drive exact evaluation: the engine merges
+    observation branches that leave equal snapshots, so a snapshot must be
+    hashable and capture everything later predictions depend on (state given
+    through ``inform_state`` may steer ``predict`` but not ``observe``).
+    Without them, exact evaluation falls back to a per-sequence loop over
+    every input sequence.
     """
 
     label: str = "predictor"

@@ -8,7 +8,6 @@ exactly against the target machines and the best scorer wins.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -20,15 +19,10 @@ from .evaluation import (
     CapExceeded,
     InconsistentTrainingData,
     _continuation_errors,
-    _sweep_range_chunk,
+    _exact_totals,
     consistency_profile,
 )
-from .predictors import AutomatonPredictor, Predictor
-
-
-def automaton_as_predictor(machine: MealyMachine) -> Predictor:
-    """Wrap a machine in the online predictor contract."""
-    return AutomatonPredictor(machine)
+from .predictors import AutomatonPredictor
 
 
 @dataclass(frozen=True)
@@ -65,21 +59,6 @@ class SearchResult:
         }
 
 
-def _score_chunk(args) -> list[tuple[int, int]]:
-    """Worker body: exact error totals for a slice of candidate machines."""
-    candidates, targets, t = args
-    out = []
-    for idx, machine in candidates:
-        total = 0
-        for target in targets:
-            errs, _, _ = _sweep_range_chunk(
-                ("automaton", (target, machine), t, 0, 1 << t)
-            )
-            total += errs
-        out.append((idx, total))
-    return out
-
-
 def _finish(
     scored: list[tuple[MealyMachine, Fraction]],
     top_n: int,
@@ -109,7 +88,6 @@ def search_best_predictor(
     t: int,
     *,
     top_n: int = 10,
-    workers: int = 1,
     cap: int = EXHAUSTIVE_T_CAP,
     max_canonical_states: int = CANONICAL_K_CAP,
 ) -> SearchResult:
@@ -118,7 +96,7 @@ def search_best_predictor(
     Each candidate's score is its exact average error at horizon ``t``, taken
     uniformly across the target machines (the mean keeps scores in [0, 1]).
     Ties break toward the lexicographically least machine, so results are
-    reproducible across runs and worker counts.
+    reproducible across runs.
     """
     if not targets:
         raise ValueError("at least one target machine is required")
@@ -129,25 +107,12 @@ def search_best_predictor(
     candidates = list(
         enumerate_machines(num_states, "canonical", max_canonical_states=max_canonical_states)
     )
-    indexed = list(enumerate(candidates))
-    if workers <= 1:
-        results = [_score_chunk((indexed, tuple(targets), t))]
-    else:
-        pieces = max(1, workers)
-        bounds = [len(indexed) * i // pieces for i in range(pieces + 1)]
-        chunks = [
-            (indexed[lo:hi], tuple(targets), t)
-            for lo, hi in zip(bounds, bounds[1:])
-            if lo < hi
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_score_chunk, chunks))
     denom = len(targets) * t * (1 << t)
-    scored = [
-        (candidates[idx], Fraction(total, denom))
-        for chunk in results
-        for idx, total in chunk
-    ]
+    scored = []
+    for machine in candidates:
+        predictor = AutomatonPredictor(machine)
+        total = sum(_exact_totals(target, predictor, t)[0] for target in targets)
+        scored.append((machine, Fraction(total, denom)))
     return _finish(scored, top_n, num_states, t, targets, len(candidates))
 
 
@@ -188,10 +153,9 @@ def search_after_training(
         predictor.reset()
         for bit in training:
             predictor.observe(bit)
-        total = 0
-        for target, profile in zip(targets, profiles):
-            for s, cnt in enumerate(profile):
-                if cnt:
-                    total += cnt * _continuation_errors(predictor, target, s, continuation)
+        total = sum(
+            _continuation_errors(predictor, target, profile, continuation)
+            for target, profile in zip(targets, profiles)
+        )
         scored.append((machine, Fraction(total, denom)))
     return _finish(scored, top_n, num_states, continuation, targets, len(candidates))

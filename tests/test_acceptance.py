@@ -46,7 +46,6 @@ from mealypred import (
 )
 from mealypred.cli import main as cli_main
 from mealypred.enumeration import is_strongly_connected
-from mealypred.evaluation import _sweep_range_chunk
 from mealypred.machines import (
     alternating_ring,
     echo_machine,
@@ -215,8 +214,8 @@ def test_a05_known_state_error_approaches_bound(canonical_small):
         floor_violations += floor_dev > slack
         gaps = []
         for t in horizons:
-            total, _, _ = _sweep_range_chunk(("known_state", (m,), t, 0, 1 << t))
-            excess = Fraction(total, 1 << t) - t * floor
+            error = t * evaluate_exhaustive(m, KnownStatePredictor(m), t).e_ave
+            excess = error - t * floor
             identity_violations += excess != transient[t]
             approach_violations += abs(excess) > cap
             gaps.append(abs(excess) / t)

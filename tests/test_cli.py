@@ -234,6 +234,38 @@ class TestReproducibility:
         assert replayed.exit_code == 0
         assert replayed.output == first.output
 
+    def test_replay_workers_do_not_change_output(self, runner, files, tmp_path):
+        report_path = tmp_path / "report.json"
+        report_path.write_text(
+            runner.invoke(main, ["evaluate", "-m", files["echo"], "-t", "10",
+                                 "--format", "json"]).output
+        )
+        base = ["replay", str(report_path), "--format", "json"]
+        a = runner.invoke(main, base + ["--workers", "1"])
+        b = runner.invoke(main, base + ["--workers", "8"])
+        assert a.exit_code == b.exit_code == 0
+        assert a.output == b.output
+
+    def test_replay_missing_field_is_usage_error(self, runner, files, tmp_path):
+        report = run_json(runner, ["evaluate", "-m", files["echo"], "-t", "10"])
+        del report["config"]["method"]
+        path = tmp_path / "no-method.json"
+        path.write_text(json.dumps(report))
+        result = runner.invoke(main, ["replay", str(path)])
+        assert result.exit_code == 2
+        assert f"error: {path}: config lacks 'method'" in result.output
+
+    def test_replay_big_cap_needs_acknowledgment(self, runner, files, tmp_path):
+        report = run_json(runner, ["evaluate", "-m", files["echo"], "-t", "10"])
+        report["config"]["cap_t"] = 100000
+        path = tmp_path / "big-cap.json"
+        path.write_text(json.dumps(report))
+        refused = runner.invoke(main, ["replay", str(path)])
+        assert refused.exit_code == 2
+        assert "--i-know-this-is-big" in refused.output
+        allowed = runner.invoke(main, ["replay", str(path), "--i-know-this-is-big"])
+        assert allowed.exit_code == 0
+
     def test_config_round_trips(self, runner, files):
         report = run_json(runner, ["evaluate", "-m", files["echo"], "-t", "10"])
         assert json.loads(json.dumps(report["config"])) == report["config"]

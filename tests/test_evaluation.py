@@ -19,7 +19,6 @@ from mealypred import (
     default_batch_predictors,
     evaluate_exhaustive,
     evaluate_monte_carlo,
-    predictor_machine_error,
 )
 from mealypred.evaluation import _generic_totals, _lenient
 from mealypred.machines import constant_machine, random_machine
@@ -100,15 +99,19 @@ class TestExhaustive:
                     Fraction(c, 1 << t) for c in step
                 )
 
-    def test_worker_partitioning_changes_nothing(self, echo):
-        r1 = evaluate_exhaustive(echo, KnownStatePredictor(echo), 12, workers=1)
-        r8 = evaluate_exhaustive(echo, KnownStatePredictor(echo), 12, workers=8)
-        assert r1 == r8
-
     def test_workers_handle_arbitrary_predictors(self, echo):
-        r1 = evaluate_exhaustive(echo, _FlipFlopPredictor(), 8, workers=1)
-        r4 = evaluate_exhaustive(echo, _FlipFlopPredictor(), 8, workers=4)
-        assert r1 == r4
+        # no snapshot support: evaluation falls back to the per-sequence loop
+        r = evaluate_exhaustive(echo, _FlipFlopPredictor(), 8)
+        assert r.e_ave == oracles.predictor_error_double_sum(echo, lambda p: len(p) % 2, 8)
+
+    def test_long_horizon_known_state_matches_chain_law(self):
+        rng = random.Random(40)
+        t = 40
+        for _ in range(12):
+            m = random_machine(rng.randint(1, 6), rng)
+            r = evaluate_exhaustive(m, KnownStatePredictor(m), t, cap=t, per_step=True)
+            assert r.e_ave == oracles.dp_known_state_error(m, t)
+            assert sum(r.per_step_errors) == t * r.e_ave
 
 
 class TestMonteCarlo:
@@ -146,11 +149,7 @@ class TestMonteCarlo:
 
 class TestPredictorMachineError:
     def test_constant_predictor_on_opposite_machine(self, const1):
-        assert predictor_machine_error(ConstantPredictor(0), const1, 8) == 1
-
-    def test_matches_evaluate_on_own_machine(self, echo):
-        p = ConsistencyPredictor(echo)
-        assert predictor_machine_error(p, echo, 9) == evaluate_exhaustive(echo, p, 9).e_ave
+        assert evaluate_exhaustive(const1, ConstantPredictor(0), 8).e_ave == 1
 
     def test_cross_machine_matches_double_sum(self):
         rng = random.Random(8)
@@ -167,7 +166,7 @@ class TestPredictorMachineError:
                     q.observe(bit)
                 return q.predict()
 
-            lhs = predictor_machine_error(p, target, t)
+            lhs = evaluate_exhaustive(target, p, t).e_ave
             assert lhs == oracles.predictor_error_double_sum(target, oracle_rule, t)
 
 
@@ -215,6 +214,19 @@ class TestBatchSelect:
         )
         with pytest.raises(InconsistentTrainingData):
             batch_select(problem)
+
+    def test_inconsistent_candidate_contributes_nothing(self, const0, alt_ring):
+        training = Bits.from_string("0101")
+        predictors = default_batch_predictors((const0, alt_ring))
+        for weighting in ("pairs", "machines"):
+            both = batch_select(
+                BatchProblem((const0, alt_ring), training, 7, predictors), weighting=weighting
+            )
+            ring = batch_select(
+                BatchProblem((alt_ring,), training, 7, predictors), weighting=weighting
+            )
+            assert both.pair_counts[0] == 0
+            assert [s.score for s in both.scores] == [s.score for s in ring.scores]
 
     def test_scores_match_explicit_pair_enumeration(self):
         # independent route: enumerate consistent (input, machine) pairs one

@@ -11,9 +11,7 @@ from mealypred import (
     ConsistencyPredictor,
     InconsistentTrainingData,
     MealyMachine,
-    automaton_as_predictor,
     evaluate_exhaustive,
-    predictor_machine_error,
     search_after_training,
     search_best_predictor,
 )
@@ -33,11 +31,6 @@ class TestAsPredictor:
         r = evaluate_exhaustive(alt_ring, AutomatonPredictor(echo_pred), 10)
         # first step is primed correctly; every repeat of the last bit misses
         assert r.e_ave == Fraction(9, 10)
-
-    def test_wrapper_returns_predictor(self, const0):
-        p = automaton_as_predictor(const0)
-        p.reset()
-        assert p.predict() == 0
 
 
 class TestSearch:
@@ -74,8 +67,8 @@ class TestSearch:
             for _ in range(5):
                 t = 8
                 target = random_machine(2, rng)
-                a = predictor_machine_error(AutomatonPredictor(m), target, t)
-                b = predictor_machine_error(AutomatonPredictor(padded), target, t)
+                a = evaluate_exhaustive(target, AutomatonPredictor(m), t).e_ave
+                b = evaluate_exhaustive(target, AutomatonPredictor(padded), t).e_ave
                 assert a == b
 
     def test_consistency_predictor_floors_all_automata(self):
@@ -90,8 +83,8 @@ class TestSearch:
                 assert floor <= score
 
     def test_deterministic_results(self, alt_ring, echo):
-        a = search_best_predictor([alt_ring, echo], 2, 8, workers=1)
-        b = search_best_predictor([alt_ring, echo], 2, 8, workers=4)
+        a = search_best_predictor([alt_ring, echo], 2, 8)
+        b = search_best_predictor([alt_ring, echo], 2, 8)
         assert a == b
 
     def test_leaderboard_sorted_and_headed_by_best(self, alt_ring):
@@ -110,6 +103,14 @@ class TestAfterTraining:
         # after watching 0101, a two-state alternator continues perfectly
         res = search_after_training([alt_ring], 2, Bits.from_string("0101"), 6)
         assert res.best_score == 0
+
+    def test_inconsistent_target_contributes_nothing(self, alt_ring):
+        # the constant machine cannot emit 0101, so only the ring's pairs count
+        training = Bits.from_string("0101")
+        res = search_after_training([constant_machine(0), alt_ring], 2, training, 3)
+        alone = search_after_training([alt_ring], 2, training, 3)
+        assert res.best_score == 0
+        assert res.leaderboard == alone.leaderboard
 
     def test_inconsistent_training_refused(self, const0):
         with pytest.raises(InconsistentTrainingData):
