@@ -6,7 +6,9 @@ so any report can be re-run bit-for-bit with ``mealypred replay``. Structured
 output is JSON with stable field order; exact rationals appear as "num/den"
 strings. Presentation details (output format, timestamps) are not part of the
 config. ``evaluate``, ``search`` and ``replay`` accept ``--workers`` for
-compatibility and ignore it: every command runs in one process.
+compatibility and ignore it: every command runs in one process. ``-v``
+before the subcommand sends the package's debug log to stderr; reports do
+not change.
 
 Exit codes: 0 success, 2 usage or parse error, 3 cap refusal, 4 data
 inconsistent with every assumed machine.
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import logging
 import sys
 from fractions import Fraction
 
@@ -429,6 +432,29 @@ def _check_cap(what: str, cap_t: int, big_ok: bool) -> None:
         )
 
 
+# Config fields that hold integers, and the evaluation methods, as every
+# command writes them; a replayed config is checked against both.
+_INT_FIELDS = ("t", "cap_t", "samples", "seed", "k", "top_n", "continuation",
+               "horizon", "cap_k", "max_iterations")
+_METHODS = ("exhaustive", "monte_carlo")
+
+
+def _config_problem(config) -> str | None:
+    """Why a replayed config cannot run, or None; missing fields are
+    reported when the executor asks for them."""
+    if not isinstance(config, dict):
+        return "not a JSON object"
+    command = config.get("command")
+    if not isinstance(command, str) or command not in _EXECUTORS:
+        return "not a replayable config"
+    for field in _INT_FIELDS:
+        if field in config and type(config[field]) is not int:
+            return f"{field!r} must be an integer, not {config[field]!r}"
+    if "method" in config and config["method"] not in _METHODS:
+        return f"unknown method {config['method']!r}; expected one of {_METHODS}"
+    return None
+
+
 _PREDICTOR_CHOICES = click.Choice(
     ["consistency", "known-state", "always-0", "always-1", "automaton", "ensemble"]
 )
@@ -436,8 +462,24 @@ _PREDICTOR_CHOICES = click.Choice(
 
 @click.group()
 @click.version_option(version=__version__, prog_name="mealypred")
-def main():
+@click.option("-v", "--verbose", is_flag=True, default=False,
+              help="Log debug messages (search counters among them) to stderr.")
+@click.pass_context
+def main(ctx, verbose):
     """Study prediction of bit sequences generated by finite-state machines."""
+    if verbose:
+        logger = logging.getLogger("mealypred")
+        handler = logging.StreamHandler(sys.stderr)
+        handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+        level = logger.level
+        logger.addHandler(handler)
+        logger.setLevel(logging.DEBUG)
+
+        def unhook():
+            logger.removeHandler(handler)
+            logger.setLevel(level)
+
+        ctx.call_on_close(unhook)
 
 
 @main.command("run")
@@ -641,9 +683,10 @@ def cmd_replay(config_file, big_ok, workers, fmt, out, timestamps):
     except json.JSONDecodeError as e:
         click.echo(f"error: {config_file}: {e}", err=True)
         sys.exit(EXIT_USAGE)
-    config = data.get("config", data)
-    if "command" not in config or config["command"] not in _EXECUTORS:
-        click.echo(f"error: {config_file}: not a replayable config", err=True)
+    config = data.get("config", data) if isinstance(data, dict) else data
+    problem = _config_problem(config)
+    if problem:
+        click.echo(f"error: {config_file}: {problem}", err=True)
         sys.exit(EXIT_USAGE)
     _check_cap(f"{config_file}: cap_t", config.get("cap_t", EXHAUSTIVE_T_CAP), big_ok)
     _run_command(config, fmt, out, timestamps, source=config_file)

@@ -135,6 +135,8 @@ def enumerate_machines(
     per relabeling class; ``strongly_connected`` the canonical machines whose
     transition digraph is strongly connected. All machines start at state 0.
     The ordering is pure integer comparison, identical on every platform.
+    Predictor search relies on it: it breaks score ties toward the least
+    serialization by a stable sort over candidates in this order.
     """
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")

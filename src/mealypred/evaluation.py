@@ -229,8 +229,12 @@ def _merge(states: dict, s: int, n: int, errs: int) -> None:
 
 
 def _frontier_totals(
-    machine: MealyMachine, predictor: Predictor, t: int, start: dict[int, int]
-) -> tuple[int, int, list[int]]:
+    machine: MealyMachine,
+    predictor: Predictor,
+    t: int,
+    start: dict[int, int],
+    bound: int | None = None,
+) -> tuple[int, int, list[int]] | None:
     """Exact error totals by one depth-by-depth pass with merged predictor states.
 
     The frontier maps a predictor snapshot to ``{generator state: (number of
@@ -240,11 +244,16 @@ def _frontier_totals(
     prefixes that leave equal snapshots share every later prediction and
     merge into one node; errors are linear in the counts, and an error at
     depth ``d`` stands for all ``2**(t - d - 1)`` completions.
+
+    With ``bound``, the pass returns ``None`` as soon as the weighted errors
+    of the depths done so far exceed it: errors are never negative, so the
+    total would exceed it too.
     """
     trans, out = machine.transition, machine.output
     root = predictor.snapshot()
     frontier = {root: {s: (n, 0) for s, n in start.items() if n}}
     step = [0] * t
+    so_far = 0
     for depth in range(t):
         nxt: dict = {}
         wrong = 0
@@ -267,6 +276,11 @@ def _frontier_totals(
                     for s, (n, errs) in child.items():
                         _merge(merged, s, n, errs)
         step[depth] = wrong << (t - depth - 1)
+        if bound is not None:
+            so_far += step[depth]
+            if so_far > bound:
+                predictor.restore(root)
+                return None
         frontier = nxt
     predictor.restore(root)
     wc = max((e for states in frontier.values() for _, e in states.values()), default=0)

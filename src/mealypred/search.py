@@ -2,12 +2,22 @@
 
 A predicting automaton reads the observed stream as its input; the bit it
 emits on each step is its guess for the next observation. With the state
-budget fixed in advance, every canonical machine of that size is scored
-exactly against the target machines and the best scorer wins.
+budget fixed in advance, every canonical machine of that size is a
+candidate, and the best exact scorer against the target machines wins.
+
+Many candidates guess alike, so a candidate is scored through its behaviour:
+the states reachable from where it starts, merged by Moore partition
+refinement into its minimal observation -> guess machine. Each distinct
+behaviour is scored once and its score is shared by every candidate that
+has it. Scoring also stops early: once ``top_n`` candidates are known, a
+behaviour whose errors so far exceed the ``top_n``-th best total cannot
+reach the leaderboard, and all of its candidates are skipped.
 """
 
 from __future__ import annotations
 
+import heapq
+import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -18,11 +28,12 @@ from .evaluation import (
     EXHAUSTIVE_T_CAP,
     CapExceeded,
     InconsistentTrainingData,
-    _continuation_errors,
-    _exact_totals,
+    _frontier_totals,
     consistency_profile,
 )
 from .predictors import AutomatonPredictor
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -59,25 +70,131 @@ class SearchResult:
         }
 
 
-def _finish(
-    scored: list[tuple[MealyMachine, Fraction]],
-    top_n: int,
-    num_states: int,
-    horizon: int,
+def _behaviour(machine: MealyMachine, state: int, pending: int) -> tuple:
+    """Key of the guesses an automaton predictor makes from ``(state, pending)``.
+
+    The states reachable from ``state`` are merged by partition refinement
+    and the merged classes are numbered in breadth-first order from
+    ``state``'s class. Two keys are equal exactly when the predictors make
+    the same guess after every observed prefix, so they score alike against
+    any target.
+    """
+    trans, out = machine.transition, machine.output
+    reach = [state]
+    for s in reach:
+        for n in trans[s]:
+            if n not in reach:
+                reach.append(n)
+    block: dict = {s: out[s] for s in reach}
+    classes = len(set(block.values()))
+    while True:
+        ids: dict = {}
+        block = {
+            s: ids.setdefault((block[s], block[trans[s][0]], block[trans[s][1]]), len(ids))
+            for s in reach
+        }
+        if len(ids) == classes:
+            break
+        classes = len(ids)
+    number = {block[state]: 0}
+    reps = [state]
+    table = []
+    for s in reps:
+        for b in (0, 1):
+            n = trans[s][b]
+            if block[n] not in number:
+                number[block[n]] = len(reps)
+                reps.append(n)
+            table.append((number[block[n]], out[s][b]))
+    return pending, tuple(table)
+
+
+def _score(
+    machine: MealyMachine,
+    snap: tuple[int, int],
     targets: Sequence[MealyMachine],
-    space: int,
+    starts: Sequence[dict[int, int]],
+    t: int,
+    bound: int | None,
+) -> int | None:
+    """Total errors of ``machine`` resumed at ``snap`` over every target's
+    continuations, or ``None`` once they exceed ``bound``."""
+    predictor = AutomatonPredictor(machine)
+    total = 0
+    for target, start in zip(targets, starts):
+        predictor.restore(snap)
+        result = _frontier_totals(
+            target, predictor, t, start, None if bound is None else bound - total
+        )
+        if result is None:
+            return None
+        total += result[0]
+    return total
+
+
+def _search(
+    targets: Sequence[MealyMachine],
+    starts: Sequence[dict[int, int]],
+    training: Bits | tuple[int, ...],
+    num_states: int,
+    t: int,
+    denom: int,
+    top_n: int,
+    max_canonical_states: int,
 ) -> SearchResult:
-    scored.sort(key=lambda item: (item[1], serialize_machine(item[0])))
-    leaderboard = tuple(scored[: max(1, top_n)])
-    best, best_score = leaderboard[0]
+    """Rank the canonical candidates once ``training`` has been fed to each.
+
+    Every target's pass starts from its ``starts`` entry, the number of
+    input sequences per generator state, and a candidate's score is its
+    total error over ``denom``. A candidate only needs an exact score if it
+    can still enter the best ``top_n``, so each new behaviour is scored with
+    the current ``top_n``-th best total as the bound. That bound only
+    tightens, so a behaviour pruned once stays pruned; ties are never
+    pruned, and candidates arrive in serialization order, so a stable sort
+    by score alone breaks ties toward the least machine.
+    """
+    size = max(1, top_n)
+    best: list[int] = []  # negated totals of the ``size`` best candidates so far
+    totals: dict[tuple, int | None] = {}  # behaviour -> total, None when pruned
+    kept: list[tuple[MealyMachine, int]] = []
+    space = 0
+    for machine in enumerate_machines(
+        num_states, "canonical", max_canonical_states=max_canonical_states
+    ):
+        space += 1
+        snap = machine.step(machine.initial_state, 0)
+        for bit in training:
+            snap = machine.step(snap[0], bit)
+        key = _behaviour(machine, *snap)
+        if key in totals:
+            total = totals[key]
+        else:
+            bound = -best[0] if len(best) == size else None
+            total = totals[key] = _score(machine, snap, targets, starts, t, bound)
+        if total is None:
+            continue
+        if len(best) < size:
+            heapq.heappush(best, -total)
+        elif total < -best[0]:
+            heapq.heapreplace(best, -total)
+        else:
+            continue
+        kept.append((machine, total))
+    log.debug(
+        "%d candidates, %d distinct behaviours scored, %d of them pruned",
+        space, len(totals), sum(total is None for total in totals.values()),
+    )
+    kept.sort(key=lambda item: item[1])
+    leaderboard = tuple((m, Fraction(total, denom)) for m, total in kept[:size])
+    best_machine, best_score = leaderboard[0]
     return SearchResult(
-        best=best,
+        best=best_machine,
         best_score=best_score,
         leaderboard=leaderboard,
         search_space_size=space,
-        evaluated=len(scored),
+        evaluated=space,
         num_states=num_states,
-        horizon=horizon,
+        horizon=t,
         target_ids=tuple(machine_id(m) for m in targets),
     )
 
@@ -104,16 +221,11 @@ def search_best_predictor(
         raise ValueError("horizon must be at least 1")
     if t > cap:
         raise CapExceeded(f"horizon {t} exceeds the exhaustive cap of {cap}")
-    candidates = list(
-        enumerate_machines(num_states, "canonical", max_canonical_states=max_canonical_states)
-    )
+    starts = [{m.initial_state: 1} for m in targets]
     denom = len(targets) * t * (1 << t)
-    scored = []
-    for machine in candidates:
-        predictor = AutomatonPredictor(machine)
-        total = sum(_exact_totals(target, predictor, t)[0] for target in targets)
-        scored.append((machine, Fraction(total, denom)))
-    return _finish(scored, top_n, num_states, t, targets, len(candidates))
+    return _search(
+        targets, starts, (), num_states, t, denom, top_n, max_canonical_states
+    )
 
 
 def search_after_training(
@@ -143,19 +255,9 @@ def search_after_training(
         raise InconsistentTrainingData(
             "no target machine can produce the training sequence"
         )
-    candidates = list(
-        enumerate_machines(num_states, "canonical", max_canonical_states=max_canonical_states)
-    )
+    starts = [dict(enumerate(p)) for p in profiles]
     denom = pair_total * continuation * (1 << continuation)
-    scored = []
-    for machine in candidates:
-        predictor = AutomatonPredictor(machine)
-        predictor.reset()
-        for bit in training:
-            predictor.observe(bit)
-        total = sum(
-            _continuation_errors(predictor, target, profile, continuation)
-            for target, profile in zip(targets, profiles)
-        )
-        scored.append((machine, Fraction(total, denom)))
-    return _finish(scored, top_n, num_states, continuation, targets, len(candidates))
+    return _search(
+        targets, starts, training, num_states, continuation, denom, top_n,
+        max_canonical_states,
+    )

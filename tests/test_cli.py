@@ -1,6 +1,7 @@
 """Command-line behavior: formats, exit codes, reproducibility."""
 
 import json
+import logging
 
 import pytest
 from click.testing import CliRunner
@@ -265,6 +266,51 @@ class TestReproducibility:
         assert "--i-know-this-is-big" in refused.output
         allowed = runner.invoke(main, ["replay", str(path), "--i-know-this-is-big"])
         assert allowed.exit_code == 0
+
+    @pytest.mark.parametrize("field, value", [("t", "10"), ("cap_t", "30")])
+    def test_replay_wrong_typed_integer_is_usage_error(
+        self, runner, files, tmp_path, field, value
+    ):
+        report = run_json(runner, ["evaluate", "-m", files["echo"], "-t", "10"])
+        report["config"][field] = value
+        path = tmp_path / "string-int.json"
+        path.write_text(json.dumps(report))
+        result = runner.invoke(main, ["replay", str(path)])
+        assert result.exit_code == 2
+        assert f"error: {path}: '{field}' must be an integer" in result.output
+        assert "Traceback" not in result.output
+
+    def test_replay_non_object_is_usage_error(self, runner, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1]")
+        result = runner.invoke(main, ["replay", str(path)])
+        assert result.exit_code == 2
+        assert f"error: {path}: not a JSON object" in result.output
+
+    def test_replay_unknown_method_is_usage_error(self, runner, files, tmp_path):
+        report = run_json(runner, ["evaluate", "-m", files["echo"], "-t", "10"])
+        report["config"]["method"] = "x"
+        path = tmp_path / "bad-method.json"
+        path.write_text(json.dumps(report))
+        result = runner.invoke(main, ["replay", str(path)])
+        assert result.exit_code == 2
+        assert f"error: {path}: unknown method 'x'" in result.output
+        assert "samples" not in result.output
+
+    def test_verbose_logs_search_counters_and_keeps_report(self, runner, files, tmp_path):
+        args = ["search", "--target", files["altring"], "-k", "2", "-t", "8",
+                "--format", "json", "--out"]
+        quiet, loud = tmp_path / "quiet.json", tmp_path / "loud.json"
+        plain = runner.invoke(main, args + [str(quiet)])
+        verbose = runner.invoke(main, ["-v"] + args + [str(loud)])
+        assert plain.exit_code == verbose.exit_code == 0
+        assert quiet.read_bytes() == loud.read_bytes()
+        assert plain.stderr == ""
+        assert verbose.stderr.splitlines() == [
+            "mealypred.search: 256 candidates, 120 distinct behaviours scored, "
+            "92 of them pruned"
+        ]
+        assert not logging.getLogger("mealypred").handlers
 
     def test_config_round_trips(self, runner, files):
         report = run_json(runner, ["evaluate", "-m", files["echo"], "-t", "10"])

@@ -54,9 +54,14 @@ class TestCounts:
 
 class TestOrder:
     def test_deterministic_and_sorted(self):
-        ser = [serialize_machine(m) for m in enumerate_machines(2, "raw")]
-        assert ser == sorted(ser)
-        assert ser == [serialize_machine(m) for m in enumerate_machines(2, "raw")]
+        # search breaks score ties by this order with a stable sort
+        for mode in ("raw", "canonical", "strongly_connected"):
+            for k in (1, 2, 3):
+                machines = list(enumerate_machines(k, mode))
+                ser = [serialize_machine(m) for m in machines]
+                assert ser == sorted(ser), (mode, k)
+                assert len(set(ser)) == len(ser), (mode, k)
+                assert list(enumerate_machines(k, mode)) == machines, (mode, k)
 
     def test_every_machine_starts_at_zero(self):
         assert all(m.initial_state == 0 for m in enumerate_machines(2, "canonical"))

@@ -16,7 +16,34 @@ from mealypred import (
     search_best_predictor,
 )
 from mealypred.enumeration import enumerate_machines
-from mealypred.machines import constant_machine, random_machine
+from mealypred.evaluation import _frontier_totals
+from mealypred.machines import constant_machine, echo_machine, random_machine
+from mealypred.search import _behaviour
+
+import oracles
+
+
+def _primed(machine):
+    return machine.step(machine.initial_state, 0)
+
+
+def _guesses(machine, snap, depth=5):
+    """Guess after every observed prefix of length <= ``depth``, level by level."""
+    guesses = []
+    level = [snap]
+    for _ in range(depth + 1):
+        guesses.extend(pending for _, pending in level)
+        level = [machine.step(state, b) for state, _ in level for b in (0, 1)]
+    return tuple(guesses)
+
+
+def _guess_function(machine):
+    def predict(seen):
+        state, pending = _primed(machine)
+        for bit in seen:
+            state, pending = machine.step(state, bit)
+        return pending
+    return predict
 
 
 class TestAsPredictor:
@@ -123,3 +150,81 @@ class TestAfterTraining:
         # the constant-1 automaton and the repeat-last-bit automaton both
         # continue an all-ones stream without error
         assert perfect == {((1, 1),), ((0, 1),)}
+
+
+class TestBehaviourKey:
+    def test_equal_keys_exactly_when_guesses_agree_small(self):
+        cands = [m for k in (1, 2) for m in enumerate_machines(k, "canonical")]
+        keys = [_behaviour(m, *_primed(m)) for m in cands]
+        sigs = [_guesses(m, _primed(m)) for m in cands]
+        for i in range(len(cands)):
+            for j in range(i + 1, len(cands)):
+                assert (keys[i] == keys[j]) == (sigs[i] == sigs[j]), (cands[i], cands[j])
+        assert len(set(keys[4:])) == 120  # distinct behaviours of the 256 2-state candidates
+
+    def test_equal_keys_exactly_when_guesses_agree_k3_sample(self):
+        # within the sample, key equality and guess equality give one partition,
+        # which is the pairwise statement for every pair in it; 4-state machines
+        # can need a second refinement round, and prefixes of up to 4 + 4 - 1
+        # bits tell any two inequivalent ones apart
+        rng = random.Random(41)
+        pool = [m for k in (1, 2) for m in enumerate_machines(k, "canonical")]
+        pool += rng.sample(list(enumerate_machines(3, "canonical")), 1500)
+        pool += [random_machine(4, rng) for _ in range(300)]
+        keys, sigs = [], []
+        for m in pool:
+            snap = _primed(m)
+            if rng.random() < 0.5:  # resume after a few training bits
+                for _ in range(rng.randint(1, 4)):
+                    snap = m.step(snap[0], rng.randint(0, 1))
+            keys.append(_behaviour(m, *snap))
+            sigs.append(_guesses(m, snap, depth=7))
+        assert len(set(keys)) < len(keys)
+        assert len(set(keys)) == len(set(sigs)) == len(set(zip(keys, sigs)))
+
+
+class TestPruning:
+    def test_bound_stops_only_when_exceeded(self, alt_ring):
+        pred = AutomatonPredictor(MealyMachine(1, ((0, 0),), ((0, 1),)))
+        start = {alt_ring.initial_state: 1}
+        total = _frontier_totals(alt_ring, pred, 8, start)[0]
+        assert _frontier_totals(alt_ring, pred, 8, start, total)[0] == total
+        assert _frontier_totals(alt_ring, pred, 8, start, total - 1) is None
+        assert pred.snapshot() == _primed(pred.machine)
+
+    def test_full_leaderboard_matches_double_sum(self):
+        rng = random.Random(43)
+        for _ in range(4):
+            targets = [random_machine(rng.randint(1, 3), rng)
+                       for _ in range(rng.randint(1, 2))]
+            t = rng.randint(3, 6)
+            res = search_best_predictor(targets, 2, t, top_n=256)
+            assert len(res.leaderboard) == res.evaluated == 256
+            for machine, score in res.leaderboard:
+                predict = _guess_function(machine)
+                expected = sum(
+                    oracles.predictor_error_double_sum(target, predict, t)
+                    for target in targets
+                ) / len(targets)
+                assert score == expected, machine
+
+    @pytest.mark.parametrize("case", ["echo", "two_targets", "after_training"])
+    def test_short_leaderboard_is_prefix_of_full(self, case, alt_ring):
+        rng = random.Random(47)
+        if case == "echo":
+            run = lambda n: search_best_predictor([echo_machine()], 2, 7, top_n=n)
+        elif case == "two_targets":
+            targets = [alt_ring, random_machine(3, rng)]
+            run = lambda n: search_best_predictor(targets, 2, 7, top_n=n)
+        else:
+            targets = [random_machine(3, rng), random_machine(2, rng)]
+            training = targets[0].run(Bits.from_string("0110"))
+            run = lambda n: search_after_training(targets, 2, training, 4, top_n=n)
+        full = run(256)
+        if case == "echo":
+            assert {score for _, score in full.leaderboard} == {Fraction(1, 2)}
+        for n in (1, 3, 5):
+            res = run(n)
+            assert res.leaderboard == full.leaderboard[:n]
+            assert (res.best, res.best_score) == full.leaderboard[0]
+            assert res.search_space_size == res.evaluated == full.evaluated == 256
