@@ -195,9 +195,11 @@ class MealyMachine:
     def biased_states(self) -> tuple[int, ...]:
         return tuple(s for s in range(self.num_states) if self.classify(s).biased)
 
-    def reachable_states(self) -> frozenset[int]:
-        seen = {self.initial_state}
-        frontier = [self.initial_state]
+    def reachable_states(self, start: int | None = None) -> frozenset[int]:
+        """States reachable from ``start``, the initial state by default."""
+        start = self.initial_state if start is None else start
+        seen = {start}
+        frontier = [start]
         while frontier:
             s = frontier.pop()
             for b in (0, 1):

@@ -44,6 +44,7 @@ from .evaluation import (
     BatchProblem,
     CapExceeded,
     InconsistentTrainingData,
+    _rational_str,
     batch_select,
     default_batch_predictors,
     evaluate_exhaustive,
@@ -60,8 +61,6 @@ from .predictors import (
 )
 from .search import search_after_training, search_best_predictor
 from .spectral import (
-    DEFAULT_MAX_ITERATIONS,
-    DEFAULT_TOLERANCE,
     adjacency,
     perfect_knowledge_error_bound,
     stationary_frequencies,
@@ -141,9 +140,8 @@ def _exec_run(config: dict) -> dict:
 
 def _exec_analyze(config: dict) -> dict:
     machine = _load_machine(config["machine"])
-    freqs = stationary_frequencies(
-        machine, config["tolerance"], config["max_iterations"]
-    )
+    freqs = stationary_frequencies(machine)
+    bound = perfect_knowledge_error_bound(machine, freqs)
     reachable = machine.reachable_states()
     states = [
         {
@@ -151,7 +149,7 @@ def _exec_analyze(config: dict) -> dict:
             "class": machine.classify(s).name,
             "biased": machine.classify(s).biased,
             "reachable": s in reachable,
-            "frequency": freqs.weights[s],
+            "frequency": float(freqs.weights[s]),
         }
         for s in range(machine.num_states)
     ]
@@ -163,12 +161,11 @@ def _exec_analyze(config: dict) -> dict:
             "unbiased_states": list(machine.unbiased_states()),
             "adjacency": [list(r) for r in adjacency(machine)],
             "stationary": {
-                "weights": list(freqs.weights),
-                "method": freqs.method,
-                "residual": freqs.residual,
-                "iterations": freqs.iterations,
+                "weights": [float(w) for w in freqs.weights],
+                "exact": [_rational_str(w) for w in freqs.weights],
             },
-            "perfect_knowledge_bound": perfect_knowledge_error_bound(machine, freqs),
+            "perfect_knowledge_bound": float(bound),
+            "perfect_knowledge_bound_exact": _rational_str(bound),
         },
     }
 
@@ -432,10 +429,18 @@ def _check_cap(what: str, cap_t: int, big_ok: bool) -> None:
         )
 
 
-# Config fields that hold integers, and the evaluation methods, as every
-# command writes them; a replayed config is checked against both.
-_INT_FIELDS = ("t", "cap_t", "samples", "seed", "k", "top_n", "continuation",
-               "horizon", "cap_k", "max_iterations")
+# Config fields by JSON type, and the evaluation methods, as every command
+# writes them; a replayed config is checked against both.
+_FIELD_TYPES = (
+    ("an integer", lambda v: type(v) is int,
+     ("t", "cap_t", "samples", "seed", "k", "top_n", "continuation", "horizon", "cap_k")),
+    ("a string", lambda v: type(v) is str,
+     ("machine", "input", "predictor", "predictor_machine", "training",
+      "after_training", "weighting", "mode")),
+    ("a boolean", lambda v: type(v) is bool, ("per_step", "count_only")),
+    ("a list of strings", lambda v: type(v) is list and all(type(x) is str for x in v),
+     ("candidates", "targets")),
+)
 _METHODS = ("exhaustive", "monte_carlo")
 
 
@@ -447,9 +452,10 @@ def _config_problem(config) -> str | None:
     command = config.get("command")
     if not isinstance(command, str) or command not in _EXECUTORS:
         return "not a replayable config"
-    for field in _INT_FIELDS:
-        if field in config and type(config[field]) is not int:
-            return f"{field!r} must be an integer, not {config[field]!r}"
+    for kind, ok, fields in _FIELD_TYPES:
+        for field in fields:
+            if field in config and not ok(config[field]):
+                return f"{field!r} must be {kind}, not {config[field]!r}"
     if "method" in config and config["method"] not in _METHODS:
         return f"unknown method {config['method']!r}; expected one of {_METHODS}"
     return None
@@ -495,17 +501,10 @@ def cmd_run(machine_path, input_bits, fmt, out, timestamps):
 
 @main.command("analyze")
 @click.option("-m", "--machine", "machine_path", required=True)
-@click.option("--tolerance", type=float, default=DEFAULT_TOLERANCE, show_default=True)
-@click.option("--max-iterations", type=int, default=DEFAULT_MAX_ITERATIONS, show_default=True)
 @_format_options
-def cmd_analyze(machine_path, tolerance, max_iterations, fmt, out, timestamps):
-    """State classes, adjacency, stationary frequencies, and the error floor."""
-    config = {
-        "command": "analyze",
-        "machine": machine_path,
-        "tolerance": tolerance,
-        "max_iterations": max_iterations,
-    }
+def cmd_analyze(machine_path, fmt, out, timestamps):
+    """State classes, adjacency, exact stationary frequencies, and the error floor."""
+    config = {"command": "analyze", "machine": machine_path}
     _run_command(config, fmt, out, timestamps)
 
 

@@ -302,10 +302,14 @@ class AutomatonPredictor(Predictor):
 
     def __init__(self, machine: MealyMachine):
         self.machine = machine
-        self.label = f"automaton:{machine_id(machine)[:12]}"
         self._state = 0
         self._pending = 0
         self.reset()
+
+    @property
+    def label(self) -> str:
+        # hashed on read: search builds many of these and never reads it
+        return f"automaton:{machine_id(self.machine)[:12]}"
 
     def reset(self):
         self._state, self._pending = self.machine.step(self.machine.initial_state, 0)

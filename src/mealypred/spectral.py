@@ -1,10 +1,14 @@
 """State-visit frequencies and the perfect-knowledge error floor.
 
 The transition structure of a machine, with input bits uniform, is a Markov
-chain whose transition matrix is the adjacency matrix scaled by 1/2. The
-long-run fraction of time spent in each state is the time-averaged limit of
-its powers; that average exists even for periodic chains, where the raw
-powers oscillate forever.
+chain whose transition matrix P is the adjacency matrix scaled by 1/2. The
+long-run fraction of time spent in each state, started from the initial
+state s0, is row s0 of the Cesàro limit of the powers of P; that average
+exists even for periodic chains, where the raw powers oscillate forever.
+It is computed exactly in rationals (Kemeny & Snell, *Finite Markov Chains*,
+1960): every closed class of the reachable states has its own stationary
+vector, and the chain from s0 ends in each class with its absorption
+probability.
 """
 
 from __future__ import annotations
@@ -12,16 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .automaton import MealyMachine
-
-DEFAULT_TOLERANCE = 1e-10
-DEFAULT_MAX_ITERATIONS = 10**6
-
-# Residual slack factor when accepting a converged candidate as a fixed point.
-_FIXED_POINT_SLACK = 10.0
-_MIN_RESIDUAL = 1e-13
 
 
 def adjacency(machine: MealyMachine) -> tuple[tuple[int, ...], ...]:
@@ -43,104 +38,86 @@ def normalized_matrix(machine: MealyMachine) -> tuple[tuple[Fraction, ...], ...]
 
 @dataclass(frozen=True)
 class StationaryVector:
-    """Per-state visit frequencies with the method that produced them.
+    """Exact long-run visit frequency of each state from the initial state.
 
-    method is one of:
-      * ``eigen``     -- the power sequence itself converged (aperiodic case);
-      * ``cesaro``    -- a periodic orbit was detected and its window average
-                         converged;
-      * ``empirical`` -- neither converged within the iteration budget; the
-                         running average so far is returned.
-    residual is the max-norm of ``v @ N - v`` for the returned vector.
+    ``weights`` are rationals that are nonnegative and sum to 1. ``method``,
+    ``residual`` and ``iterations`` describe how they were found; the exact
+    solve always gives ``"exact"``, 0 and 0.
     """
 
-    weights: tuple[float, ...]
-    method: str
-    residual: float
-    iterations: int
+    weights: tuple[Fraction, ...]
+    method: str = "exact"
+    residual: float = 0
+    iterations: int = 0
 
     def __post_init__(self):
-        if self.method not in ("eigen", "cesaro", "empirical"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if any(w < -1e-12 for w in self.weights):
+        if any(w < 0 for w in self.weights):
             raise ValueError("negative frequency")
-        if abs(sum(self.weights) - 1.0) > 1e-6:
+        if sum(self.weights) != 1:
             raise ValueError("frequencies must sum to 1")
 
 
-def stationary_frequencies(
-    machine: MealyMachine,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-) -> StationaryVector:
-    """Time-averaged state-visit frequencies from the initial state.
+def _solve(rows: list[list[Fraction]], rhs: list[int]) -> list[Fraction]:
+    """The row vector x with x @ rows == rhs, for nonsingular square ``rows``,
+    by Gauss-Jordan elimination in exact rationals."""
+    n = len(rhs)
+    # equation j reads sum_i x_i rows[i][j] == rhs[j]
+    eqs = [[rows[i][j] for i in range(n)] + [Fraction(rhs[j])] for j in range(n)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if eqs[r][c])
+        eqs[c], eqs[pivot] = eqs[pivot], eqs[c]
+        head = eqs[c][c]
+        eqs[c] = [x / head for x in eqs[c]]
+        for r in range(n):
+            f = eqs[r][c]
+            if r != c and f:
+                eqs[r] = [x - f * y for x, y in zip(eqs[r], eqs[c])]
+    return [eq[n] for eq in eqs]
 
-    Iterates the distribution row vector and its running average. Two
-    convergence routes are checked against ``tolerance`` in max-norm: the raw
-    power sequence (which settles for aperiodic reachable structure), and a
-    short-lag recurrence window whose average settles for periodic structure.
-    Either candidate is only accepted if it is a fixed point of the chain.
-    With ``tolerance=0`` the loop always runs ``max_iterations`` steps and
-    returns the plain running average tagged ``empirical``.
 
-    Unreachable states get weight 0 since the iteration starts at the
-    initial state.
+def stationary_frequencies(machine: MealyMachine) -> StationaryVector:
+    """Exact time-averaged state-visit frequencies from the initial state.
+
+    A reachable state is recurrent when every state it reaches reaches it
+    back; the states it reaches are then its closed class C, whose
+    stationary vector solves pi (I - P_C) = 0, sum(pi) = 1. The other
+    reachable states are transient: their expected visits n from s0 solve
+    n (I - Q) = delta_s0, with Q the chain restricted to them, and a class
+    absorbs the mass sum_i n_i P(i, C). A class holding s0 absorbs all of it.
+    Unreachable states get weight 0.
     """
-    if tolerance < 0:
-        raise ValueError("tolerance must be nonnegative")
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be positive")
-    k = machine.num_states
-    n = np.zeros((k, k))
-    for s in range(k):
-        for b in (0, 1):
-            n[s, machine.transition[s][b]] += 0.5
-
-    x = np.zeros(k)
-    x[machine.initial_state] = 1.0
-    total = np.zeros(k)
-    period_cap = min(64, max(16, 2 * k))
-    recent: list[np.ndarray] = [x.copy()]  # recent[-1] is the latest iterate
-
-    def residual_of(v: np.ndarray) -> float:
-        return float(np.max(np.abs(v @ n - v)))
-
-    accept = max(_FIXED_POINT_SLACK * tolerance, _MIN_RESIDUAL)
-    for it in range(1, max_iterations + 1):
-        x = x @ n
-        total += x
-        if tolerance > 0.0:
-            candidate = None
-            method = ""
-            if np.max(np.abs(x - recent[-1])) < tolerance:
-                candidate, method = x, "eigen"
-            else:
-                for p in range(2, min(len(recent), period_cap) + 1):
-                    if np.max(np.abs(x - recent[-p])) < tolerance:
-                        window = recent[len(recent) - p + 1 :] + [x]
-                        candidate, method = np.mean(window, axis=0), "cesaro"
-                        break
-            if candidate is not None:
-                res = residual_of(candidate)
-                if res <= accept:
-                    return StationaryVector(tuple(candidate.tolist()), method, res, it)
-        recent.append(x.copy())
-        if len(recent) > period_cap + 1:
-            recent.pop(0)
-
-    avg = total / max_iterations
-    return StationaryVector(
-        tuple(avg.tolist()), "empirical", residual_of(avg), max_iterations
-    )
+    k, s0 = machine.num_states, machine.initial_state
+    p = normalized_matrix(machine)
+    reach = {s: machine.reachable_states(s) for s in machine.reachable_states()}
+    recurrent = {s for s, seen in reach.items() if all(s in reach[j] for j in seen)}
+    transient = sorted(reach.keys() - recurrent)
+    if transient:
+        visits = _solve(
+            [[int(i == j) - p[i][j] for j in transient] for i in transient],
+            [int(i == s0) for i in transient],
+        )
+    weights = [Fraction(0)] * k
+    for cls in {tuple(sorted(reach[s])) for s in recurrent}:
+        if s0 in cls:
+            mass = Fraction(1)
+        else:
+            mass = sum(v * p[i][c] for v, i in zip(visits, transient) for c in cls)
+        # the last balance equation is implied by the others; sum(pi) = 1 replaces it
+        rows = [[int(i == j) - p[i][j] for j in cls[:-1]] + [1] for i in cls]
+        for s, pi in zip(cls, _solve(rows, [0] * (len(cls) - 1) + [1])):
+            weights[s] = mass * pi
+    return StationaryVector(tuple(weights))
 
 
 def perfect_knowledge_error_bound(
     machine: MealyMachine, frequencies: StationaryVector
-) -> float:
+) -> Fraction:
     """Long-run error rate of the best predictor that always knows the state.
 
     In a biased state the next output is certain; in an unbiased state any
     fixed guess is wrong for exactly one of the two equally likely inputs, so
     each unbiased visit contributes an expected half error.
     """
-    return 0.5 * sum(frequencies.weights[s] for s in machine.unbiased_states())
+    return sum(
+        (frequencies.weights[s] for s in machine.unbiased_states()), Fraction(0)
+    ) / 2

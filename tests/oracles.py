@@ -74,9 +74,9 @@ def level_tables(machine, t: int) -> list[dict[int, tuple[int, ...]]]:
     return levels
 
 
-def visit_frequencies(machine, t: int) -> np.ndarray:
-    """Average frequency of each state over path positions 1..t, across all
-    2^t inputs, by enumerating every input in parallel."""
+def visit_counts(machine, t: int) -> list[int]:
+    """Visits to each state over path positions 1..t, summed over all 2^t
+    inputs, by enumerating every input in parallel."""
     trans = np.asarray(machine.transition, dtype=np.int64)
     g = np.arange(1 << t, dtype=np.int64)
     states = np.full(1 << t, machine.initial_state, dtype=np.int64)
@@ -85,7 +85,13 @@ def visit_frequencies(machine, t: int) -> np.ndarray:
         b = (g >> i) & 1
         states = trans[states, b]
         counts += np.bincount(states, minlength=machine.num_states)
-    return counts / (t * (1 << t))
+    return [int(c) for c in counts]
+
+
+def visit_frequencies(machine, t: int) -> np.ndarray:
+    """Average frequency of each state over path positions 1..t, across all
+    2^t inputs."""
+    return np.asarray(visit_counts(machine, t)) / (t * (1 << t))
 
 
 def dp_known_state_error(machine, t: int) -> Fraction:
@@ -232,3 +238,24 @@ def known_state_transient_law(
         if t in horizons:
             transient[t] = zu[s0] - sum(r * x for r, x in zip(row, zu)) / (1 << t)
     return floor, transient, 2 * max(abs(x) for x in zu)
+
+
+def visit_transient_term(machine, h: int) -> list[Fraction]:
+    """delta_s0 (P - P^(h+1)) Z, exact, from the oracle's fundamental matrix.
+
+    Since sum_{n=1..h} P^n = h Pi + (P - P^(h+1)) Z, this is what h times the
+    all-input visit frequency over positions 1..h exceeds h Pi[s0] by.
+    """
+    k, s0 = machine.num_states, machine.initial_state
+    _, z = cesaro_limit_and_fundamental(machine)
+    row = [int(s == s0) for s in range(k)]  # 2^n delta_s0 P^n, in input counts
+    rows = []
+    for _ in range(h + 1):
+        nxt = [0] * k
+        for s in range(k):
+            for b in (0, 1):
+                nxt[machine.transition[s][b]] += row[s]
+        row = nxt
+        rows.append(row)
+    diff = [Fraction(a, 2) - Fraction(b, 1 << (h + 1)) for a, b in zip(rows[0], rows[-1])]
+    return [sum(d * z[i][j] for i, d in enumerate(diff)) for j in range(k)]

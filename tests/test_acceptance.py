@@ -5,13 +5,16 @@ with ``pytest tests/test_acceptance.py -v -s`` to watch them). Several checks
 sweep every canonical machine with up to three states, so the module takes a
 few minutes.
 
+Check 04 holds the exact stationary weights w to the all-input visit
+frequencies at h = 14 by the finite-horizon law
+h visit(h) = h w + delta_s0 (P - P^(h+1)) Z, an equality of rationals.
+
 Check 05 pins the known-state error to its floor exactly. The floor from
-``stationary_frequencies`` must match the exact Cesàro floor of
-``oracles.cesaro_limit_and_fundamental`` within the solver's fixed-point
-slack (1e-9). At t = 8, 10, 12 the engine's exact error must satisfy the
-fundamental-matrix identity t (e(t) - floor) = (Z u)[s0] - (delta_s0 P^t) Z u
-as an equality of rationals, so its gap to the floor is at most
-2 max|Z u| / t. No fixed gap at one horizon and no monotone approach is
+``stationary_frequencies`` must equal the exact Cesàro floor of
+``oracles.cesaro_limit_and_fundamental`` as a rational. At t = 8, 10, 12
+the engine's exact error must satisfy the fundamental-matrix identity
+t (e(t) - floor) = (Z u)[s0] - (delta_s0 P^t) Z u as an equality of
+rationals, so its gap to the floor is at most 2 max|Z u| / t. No fixed gap at one horizon and no monotone approach is
 asserted: transient unbiased states keep the gap near ((Z u)[s0] - floor) / t
 (0.23 at t = 12 for the worst 3-state machine), and periodic chains make it
 oscillate. The check prints how many machines show either, as the transient
@@ -24,7 +27,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -53,7 +55,6 @@ from mealypred.machines import (
     random_machine,
     ring_machine,
 )
-from mealypred.spectral import DEFAULT_TOLERANCE, _FIXED_POINT_SLACK
 
 
 def _report(name: str, ok: bool, detail: str = ""):
@@ -183,24 +184,28 @@ def test_a04_stationary_matches_enumeration():
         m = random_machine(rng.randint(2, 6), rng)
         if is_strongly_connected(m):
             machines.append(m)
+    mismatches = 0
     worst = 0.0
     for m in machines:
-        sv = stationary_frequencies(m, tolerance=0.0, max_iterations=horizon)
-        emp = oracles.visit_frequencies(m, horizon)
-        worst = max(worst, float(np.max(np.abs(np.asarray(sv.weights) - emp))))
+        weights = stationary_frequencies(m).weights
+        counts = oracles.visit_counts(m, horizon)
+        term = oracles.visit_transient_term(m, horizon)
+        for s in range(m.num_states):
+            # h visit(h) = h w + delta_s0 (P - P^(h+1)) Z, as rationals
+            mismatches += Fraction(counts[s], 1 << horizon) != horizon * weights[s] + term[s]
+            worst = max(worst, abs(counts[s] / (horizon << horizon) - float(weights[s])))
     _report(
         "04 stationary vs visit enumeration",
-        worst <= 1e-3,
-        f"({len(machines)} machines incl. rings 1..6, worst entry dev {worst:.2e})",
+        mismatches == 0,
+        f"({len(machines)} machines incl. rings 1..6 at h={horizon}; finite-horizon "
+        f"law mismatches {mismatches}; largest |visit(h) - w| {worst:.2e})",
     )
 
 
 def test_a05_known_state_error_approaches_bound(canonical_small):
     horizons = (8, 10, 12)
-    slack = _FIXED_POINT_SLACK * DEFAULT_TOLERANCE
     floor_violations = identity_violations = approach_violations = 0
     above_002 = non_monotone = 0
-    worst_floor_dev = 0.0
     worst = (Fraction(0), None)  # largest gap at t=12 and its machine
     laws = {}  # the law depends on transitions, start and unbiased states alone
     for m in canonical_small:
@@ -208,10 +213,7 @@ def test_a05_known_state_error_approaches_bound(canonical_small):
         if key not in laws:
             laws[key] = oracles.known_state_transient_law(m, horizons)
         floor, transient, cap = laws[key]
-        bound = perfect_knowledge_error_bound(m, stationary_frequencies(m))
-        floor_dev = abs(Fraction(bound) - floor)
-        worst_floor_dev = max(worst_floor_dev, float(floor_dev))
-        floor_violations += floor_dev > slack
+        floor_violations += perfect_knowledge_error_bound(m, stationary_frequencies(m)) != floor
         gaps = []
         for t in horizons:
             error = t * evaluate_exhaustive(m, KnownStatePredictor(m), t).e_ave
@@ -224,8 +226,8 @@ def test_a05_known_state_error_approaches_bound(canonical_small):
             worst = (gaps[-1], m)
         non_monotone += not (gaps[0] >= gaps[1] >= gaps[2])
     detail = (
-        f"({len(canonical_small)} machines at t={horizons}; floors off by more "
-        f"than {slack:.0e}: {floor_violations}, worst {worst_floor_dev:.1e}; "
+        f"({len(canonical_small)} machines at t={horizons}; floors unequal to "
+        f"the exact oracle floor: {floor_violations}; "
         f"transient-term identity mismatches {identity_violations}, gaps above "
         f"2max|Zu|/t {approach_violations}; explained by the transient term: "
         f"{above_002} above 0.02 at t=12, {non_monotone} non-monotone, largest "

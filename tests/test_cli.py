@@ -77,8 +77,24 @@ class TestAnalyze:
     def test_echo(self, runner, files):
         report = run_json(runner, ["analyze", "-m", files["echo"]])
         assert report["result"]["unbiased_states"] == [0, 1]
-        assert report["result"]["stationary"]["weights"] == [0.5, 0.5]
+        assert report["result"]["stationary"] == {
+            "weights": [0.5, 0.5], "exact": ["1/2", "1/2"]
+        }
         assert report["result"]["perfect_knowledge_bound"] == 0.5
+        assert report["result"]["perfect_knowledge_bound_exact"] == "1/2"
+
+    def test_solver_knobs_are_gone(self, runner, files):
+        result = runner.invoke(main, ["analyze", "-m", files["echo"], "--tolerance", "1e-9"])
+        assert result.exit_code == 2
+        assert "--tolerance" in result.output
+
+    def test_replay_of_config_with_old_solver_knobs(self, runner, files, tmp_path):
+        report = run_json(runner, ["analyze", "-m", files["echo"]])
+        report["config"].update(tolerance=1e-10, max_iterations=1000000)
+        path = tmp_path / "old-analyze.json"
+        path.write_text(json.dumps(report))
+        replayed = run_json(runner, ["replay", str(path)])
+        assert replayed["result"] == report["result"]
 
     def test_unreachable_flagged(self, runner, tmp_path):
         text = "mealy 2\ninitial 0\n0 0 -> 0 0\n0 1 -> 0 0\n1 0 -> 1 0\n1 1 -> 1 1\n"
@@ -279,6 +295,23 @@ class TestReproducibility:
         assert result.exit_code == 2
         assert f"error: {path}: '{field}' must be an integer" in result.output
         assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("field, value, kind", [
+        ("machine", 0, "a string"),
+        ("candidates", ["a", 1], "a list of strings"),
+        ("per_step", "no", "a boolean"),
+    ])
+    def test_replay_wrong_typed_field_is_usage_error(
+        self, runner, files, tmp_path, field, value, kind
+    ):
+        report = run_json(runner, ["evaluate", "-m", files["echo"], "-t", "10"])
+        report["config"][field] = value
+        path = tmp_path / "wrong-type.json"
+        path.write_text(json.dumps(report))
+        result = runner.invoke(main, ["replay", str(path)], input="")
+        assert result.exit_code == 2
+        assert f"error: {path}: '{field}' must be {kind}, not {value!r}" in result.output
+        assert "per_step_errors" not in result.output
 
     def test_replay_non_object_is_usage_error(self, runner, tmp_path):
         path = tmp_path / "list.json"

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import mealypred.predictors
 from mealypred import (
     AutomatonPredictor,
     Bits,
@@ -12,6 +13,7 @@ from mealypred import (
     InconsistentTrainingData,
     MealyMachine,
     evaluate_exhaustive,
+    machine_id,
     search_after_training,
     search_best_predictor,
 )
@@ -58,6 +60,20 @@ class TestAsPredictor:
         r = evaluate_exhaustive(alt_ring, AutomatonPredictor(echo_pred), 10)
         # first step is primed correctly; every repeat of the last bit misses
         assert r.e_ave == Fraction(9, 10)
+
+    def test_label_is_hashed_only_when_read(self, alt_ring, monkeypatch):
+        expected = search_best_predictor([alt_ring], 2, 8)
+
+        def refuse(machine):
+            raise AssertionError("machine_id computed")
+
+        monkeypatch.setattr(mealypred.predictors, "machine_id", refuse)
+        assert search_best_predictor([alt_ring], 2, 8) == expected
+        predictor = AutomatonPredictor(expected.best)
+        with pytest.raises(AssertionError, match="machine_id computed"):
+            predictor.label
+        monkeypatch.undo()
+        assert predictor.label == f"automaton:{machine_id(expected.best)[:12]}"
 
 
 class TestSearch:

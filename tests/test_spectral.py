@@ -3,13 +3,14 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from mealypred import (
     KnownStatePredictor,
     MealyMachine,
+    StationaryVector,
     adjacency,
+    enumerate_machines,
     evaluate_exhaustive,
     normalized_matrix,
     perfect_knowledge_error_bound,
@@ -49,82 +50,105 @@ class TestStationary:
     def test_ring_uniform_despite_periodicity(self):
         for k in range(1, 7):
             sv = stationary_frequencies(ring_machine("0" * k))
-            assert sv.method in ("eigen", "cesaro")
-            assert sv.weights == pytest.approx([1 / k] * k, abs=1e-12)
+            assert sv.weights == (Fraction(1, k),) * k
+            assert (sv.method, sv.residual, sv.iterations) == ("exact", 0, 0)
 
     def test_echo_half_half_vs_enumeration(self, echo):
         sv = stationary_frequencies(echo)
         emp = oracles.visit_frequencies(echo, 16)
-        assert sv.weights == pytest.approx(list(emp), abs=1e-12)
-        assert sv.weights == pytest.approx([0.5, 0.5], abs=1e-12)
+        assert [float(w) for w in sv.weights] == pytest.approx(list(emp), abs=1e-12)
+        assert sv.weights == (Fraction(1, 2), Fraction(1, 2))
 
     def test_absorbing_state_takes_all(self, absorbing_machine):
         sv = stationary_frequencies(absorbing_machine)
-        assert sv.weights == pytest.approx([0.0, 0.0, 1.0], abs=1e-9)
+        assert sv.weights == (0, 0, 1)
+
+    def test_branch_into_two_absorbing_states_splits_evenly(self):
+        m = MealyMachine(3, ((1, 2), (1, 1), (2, 2)), ((0, 1), (0, 0), (1, 1)))
+        assert stationary_frequencies(m).weights == (0, Fraction(1, 2), Fraction(1, 2))
+        # one more branch on the way makes the split uneven
+        m = MealyMachine(4, ((2, 1), (2, 3), (2, 2), (3, 3)), ((0, 1),) * 4)
+        assert stationary_frequencies(m).weights == (0, 0, Fraction(3, 4), Fraction(1, 4))
 
     def test_unreachable_states_get_zero(self):
         m = MealyMachine(3, ((0, 1), (0, 1), (2, 2)), ((0, 1), (1, 0), (0, 0)))
         sv = stationary_frequencies(m)
-        assert sv.weights[2] == 0.0
+        assert sv.weights[2] == 0
 
     def test_fixed_point_for_irreducible_aperiodic(self):
+        # exact, so periodic irreducible chains are held to it as well
         rng = random.Random(5)
         n_checked = 0
         while n_checked < 25:
             m = random_machine(rng.randint(2, 6), rng)
             if not is_strongly_connected(m):
                 continue
-            sv = stationary_frequencies(m)
-            if sv.method != "eigen":
-                continue  # periodic structure; fixed point still checked below
-            n = np.zeros((m.num_states, m.num_states))
-            for s in range(m.num_states):
-                for b in (0, 1):
-                    n[s, m.transition[s][b]] += 0.5
-            v = np.array(sv.weights)
-            assert np.max(np.abs(v @ n - v)) < 1e-9
+            w = stationary_frequencies(m).weights
+            p = normalized_matrix(m)
+            k = m.num_states
+            assert tuple(sum(w[i] * p[i][j] for i in range(k)) for j in range(k)) == w
+            assert all(x > 0 for x in w)
             n_checked += 1
 
     def test_matched_horizon_average_equals_enumeration(self):
-        # the T-step running average is exactly the all-input visit frequency
+        # h visit(h) = h w + delta_s0 (P - P^(h+1)) Z, exactly, reducible chains included
         rng = random.Random(11)
         machines = [ring_machine("0" * k) for k in (2, 3, 5)]
         machines += [random_machine(rng.randint(2, 6), rng) for _ in range(10)]
         for m in machines:
-            sv = stationary_frequencies(m, tolerance=0.0, max_iterations=14)
-            assert sv.method == "empirical"
-            emp = oracles.visit_frequencies(m, 14)
-            assert np.max(np.abs(np.array(sv.weights) - emp)) < 1e-12
+            w = stationary_frequencies(m).weights
+            counts = oracles.visit_counts(m, 14)
+            term = oracles.visit_transient_term(m, 14)
+            for s in range(m.num_states):
+                assert Fraction(counts[s], 1 << 14) == 14 * w[s] + term[s]
 
-    def test_nonconvergence_is_flagged_not_silent(self):
-        sv = stationary_frequencies(ring_machine("01"), tolerance=0.0, max_iterations=9)
-        assert sv.method == "empirical"
-        assert sv.iterations == 9
-        assert sv.residual > 0
+    def test_matches_cesaro_oracle(self):
+        machines = [m for k in (1, 2) for m in enumerate_machines(k, "canonical")]
+        rng = random.Random(17)
+        machines += [random_machine(rng.randint(1, 8), rng) for _ in range(150)]
+        # uniform random machines rarely reach two closed classes; these end
+        # in an absorbing state and a period-2 ring
+        for _ in range(50):
+            k = rng.randint(4, 8)
+            free = [(rng.randrange(k), rng.randrange(k)) for _ in range(k - 3)]
+            transition = tuple(free) + ((k - 2, k - 2), (k - 3, k - 3), (k - 1, k - 1))
+            output = tuple((rng.randrange(2), rng.randrange(2)) for _ in range(k))
+            machines.append(MealyMachine(k, transition, output))
+        for m in machines:
+            w = stationary_frequencies(m).weights
+            pi, _ = oracles.cesaro_limit_and_fundamental(m)
+            assert list(w) == pi[m.initial_state]
+            p = normalized_matrix(m)
+            k = m.num_states
+            assert tuple(sum(w[i] * p[i][j] for i in range(k)) for j in range(k)) == w
 
-    def test_rejects_bad_arguments(self, echo):
-        with pytest.raises(ValueError):
-            stationary_frequencies(echo, tolerance=-1.0)
-        with pytest.raises(ValueError):
-            stationary_frequencies(echo, max_iterations=0)
+    def test_rejects_bad_arguments(self):
+        half = Fraction(1, 2)
+        assert StationaryVector((half, half)).method == "exact"
+        with pytest.raises(ValueError, match="negative"):
+            StationaryVector((Fraction(3, 2), -half))
+        with pytest.raises(ValueError, match="sum to 1"):
+            StationaryVector((half, half, half))
+        with pytest.raises(ValueError, match="sum to 1"):
+            StationaryVector((half, Fraction(1, 3)), "exact", 0, 0)
 
 
 class TestBound:
     def test_all_biased_machine_bound_zero(self, alt_ring):
         sv = stationary_frequencies(alt_ring)
-        assert perfect_knowledge_error_bound(alt_ring, sv) == 0.0
+        assert perfect_knowledge_error_bound(alt_ring, sv) == Fraction(0)
 
     def test_echo_bound_half_matches_enumeration(self, echo):
         sv = stationary_frequencies(echo)
         bound = perfect_knowledge_error_bound(echo, sv)
-        assert bound == pytest.approx(0.5, abs=1e-12)
+        assert type(bound) is Fraction and bound == Fraction(1, 2)
         e = evaluate_exhaustive(echo, KnownStatePredictor(echo), 12).e_ave
         assert e == Fraction(1, 2)
 
     def test_half_biased_ring_bound_quarter(self, half_biased_ring):
         sv = stationary_frequencies(half_biased_ring)
         bound = perfect_knowledge_error_bound(half_biased_ring, sv)
-        assert bound == pytest.approx(0.25, abs=1e-12)
+        assert bound == Fraction(1, 4)
         e = evaluate_exhaustive(half_biased_ring, KnownStatePredictor(half_biased_ring), 12).e_ave
         assert e == Fraction(1, 4)
 
