@@ -10,12 +10,14 @@ compatibility and ignore it: every command runs in one process. ``-v``
 before the subcommand sends the package's debug log to stderr; reports do
 not change.
 
-Exit codes: 0 success, 2 usage or parse error, 3 cap refusal, 4 data
-inconsistent with every assumed machine.
+Exit codes: 0 success, 2 usage, parse, file or output error, 3 cap refusal
+or a request too large to allocate, 4 data inconsistent with every assumed
+machine. :class:`_Main` maps failures to them for every subcommand.
 """
 
 from __future__ import annotations
 
+import contextlib
 import datetime
 import json
 import logging
@@ -367,7 +369,9 @@ def _render_human(report: dict, timestamps: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(report: dict, fmt: str, out: str | None, timestamps: bool):
+def _run_command(config: dict, fmt: str, out: str | None, timestamps: bool):
+    """Execute a config and emit its report."""
+    report = _execute(config)
     if fmt == "json":
         text = json.dumps(report, indent=2) + "\n"
     else:
@@ -377,29 +381,6 @@ def _emit(report: dict, fmt: str, out: str | None, timestamps: bool):
             fh.write(text)
     else:
         click.echo(text, nl=False)
-
-
-def _run_command(
-    config: dict, fmt: str, out: str | None, timestamps: bool, source: str | None = None
-):
-    """Execute a config and emit its report; ``source`` names a replayed file."""
-    try:
-        report = _execute(config)
-    except KeyError as e:
-        if source is None:
-            raise
-        click.echo(f"error: {source}: config lacks {e.args[0]!r}", err=True)
-        sys.exit(EXIT_USAGE)
-    except (InconsistentObservation, InconsistentTrainingData) as e:
-        click.echo(f"inconsistent data: {e}", err=True)
-        sys.exit(EXIT_INCONSISTENT)
-    except CapExceeded as e:
-        click.echo(f"refused: {e}", err=True)
-        sys.exit(EXIT_CAP)
-    except (MachineFormatError, ValueError) as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(EXIT_USAGE)
-    _emit(report, fmt, out, timestamps)
 
 
 def _format_options(fn):
@@ -466,7 +447,27 @@ _PREDICTOR_CHOICES = click.Choice(
 )
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group; maps the failures of argument parsing, execution
+    and output to the documented exit codes, without a traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (InconsistentObservation, InconsistentTrainingData) as e:
+            click.echo(f"inconsistent data: {e}", err=True)
+            sys.exit(EXIT_INCONSISTENT)
+        except (CapExceeded, MemoryError) as e:
+            click.echo(f"refused: {e}", err=True)
+            sys.exit(EXIT_CAP)
+        except BrokenPipeError:
+            raise  # click exits quietly when the reader closes the pipe
+        except (MachineFormatError, ValueError, OSError) as e:
+            click.echo(f"error: {e}", err=True)
+            sys.exit(EXIT_USAGE)
+
+
+@click.group(cls=_Main)
 @click.version_option(version=__version__, prog_name="mealypred")
 @click.option("-v", "--verbose", is_flag=True, default=False,
               help="Log debug messages (search counters among them) to stderr.")
@@ -618,20 +619,13 @@ def cmd_enumerate(k, mode, count_only, cap_k, fmt, out, timestamps):
         caps = {}
         if cap_k is not None:
             caps = {"max_raw_states": cap_k, "max_canonical_states": cap_k}
-        sink = open(out, "w", encoding="utf-8") if out else sys.stdout
-        try:
+        with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as sink:
             if count_only:
                 sink.write(f"{count_machines(config['k'], config['mode'], **caps)}\n")
             else:
                 for machine in enumerate_machines(config["k"], config["mode"], **caps):
                     sink.write(serialize_machine(machine))
                     sink.write("\n")
-        except CapExceeded as e:
-            click.echo(f"refused: {e}", err=True)
-            sys.exit(EXIT_CAP)
-        finally:
-            if out:
-                sink.close()
         return
     _run_command(config, fmt, out, timestamps)
 
@@ -680,15 +674,16 @@ def cmd_replay(config_file, big_ok, workers, fmt, out, timestamps):
     try:
         data = json.loads(_read_text(config_file))
     except json.JSONDecodeError as e:
-        click.echo(f"error: {config_file}: {e}", err=True)
-        sys.exit(EXIT_USAGE)
+        raise ValueError(f"{config_file}: {e}") from None
     config = data.get("config", data) if isinstance(data, dict) else data
     problem = _config_problem(config)
     if problem:
-        click.echo(f"error: {config_file}: {problem}", err=True)
-        sys.exit(EXIT_USAGE)
+        raise ValueError(f"{config_file}: {problem}")
     _check_cap(f"{config_file}: cap_t", config.get("cap_t", EXHAUSTIVE_T_CAP), big_ok)
-    _run_command(config, fmt, out, timestamps, source=config_file)
+    try:
+        _run_command(config, fmt, out, timestamps)
+    except KeyError as e:
+        raise ValueError(f"{config_file}: config lacks {e.args[0]!r}") from None
 
 
 if __name__ == "__main__":

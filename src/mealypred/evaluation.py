@@ -8,12 +8,14 @@ and expected error is linear in them. So the engine walks the horizon depth
 by depth, keyed by predictor snapshot, and merges every branch that leaves
 the predictor in an equal state: ``e_ave``, ``e_wc`` and the per-step errors
 come out exact for every predictor. The same pass, started from a training
-prefix's consistency profile, scores batch continuations. Predictors without
-``snapshot``/``restore`` fall back to a per-sequence loop over all inputs.
+prefix's consistency profile, scores batch continuations. It needs only the
+``snapshot``/``restore`` every predictor has, so there is no fallback path.
 
-Monte Carlo estimates sample input sequences and run them through vectorized
-numpy sweeps for the built-in predictor kinds, or through the per-sequence
-loop for any other predictor.
+Monte Carlo estimates sample input sequences and run every built-in
+predictor through a vectorized numpy sweep at any horizon; consistency and
+ensemble predictors share one count kernel, whose counts turn into exact
+Python integers at the depth where int64 could overflow. Only a predictor
+from outside the package goes through a per-sequence loop.
 
 Predictors whose machine model is contradicted by an observation are scored
 leniently here: a dead model keeps emitting the tie-rule 0. This makes
@@ -34,16 +36,12 @@ from .predictors import (
     AutomatonPredictor,
     ConsistencyPredictor,
     ConstantPredictor,
-    EnsemblePredictor,
     KnownStatePredictor,
-    OutputTransitionMatrices,
     Predictor,
-    advance_counts,
 )
 
 EXHAUSTIVE_T_CAP = 24
 PAIR_BUDGET_LOG2 = 26
-_VEC_T_LIMIT = 62  # consistency counts fit in int64 up to here
 
 
 class CapExceeded(RuntimeError):
@@ -111,7 +109,7 @@ def _rational_str(x) -> str:
 @contextmanager
 def _lenient(predictor: Predictor):
     """Temporarily disable strict inconsistency errors on model-tracking predictors."""
-    toggle = isinstance(predictor, (ConsistencyPredictor, EnsemblePredictor)) and predictor.strict
+    toggle = isinstance(predictor, ConsistencyPredictor) and predictor.strict
     if toggle:
         predictor.strict = False
     try:
@@ -163,21 +161,26 @@ def _sweep_automaton(machine: MealyMachine, pred_machine: MealyMachine, t: int, 
     return int(seq_err.sum()), int(seq_err.max()), step_totals
 
 
-def _sweep_consistency(machine: MealyMachine, pred_machine: MealyMachine, t: int, n: int, column) -> tuple[int, int, list[int]]:
+def _sweep_consistency(machine: MealyMachine, predictor: ConsistencyPredictor, t: int, n: int, column) -> tuple[int, int, list[int]]:
     ttrans = np.asarray(machine.transition, dtype=np.int64)
     tout = np.asarray(machine.output, dtype=np.int64)
-    mats = OutputTransitionMatrices.from_machine(pred_machine)
-    m0 = np.asarray(mats.m0, dtype=np.int64)
-    m1 = np.asarray(mats.m1, dtype=np.int64)
+    m0 = np.asarray(predictor.matrices.m0, dtype=np.int64)
+    m1 = np.asarray(predictor.matrices.m1, dtype=np.int64)
     deg0 = m0.sum(axis=1)
     deg1 = m1.sum(axis=1)
-    kp = pred_machine.num_states
-    counts = np.zeros((n, kp), dtype=np.int64)
-    counts[:, pred_machine.initial_state] = 1
+    predictor.reset()
+    start = predictor.snapshot()
+    # Every count at depth i, and every count times a degree, is at most
+    # sum(start) * 2**(i + 1); from the first depth where that can reach
+    # 2**63 the counts are exact Python integers instead of int64.
+    widen_at = 63 - sum(start).bit_length()
+    counts = np.tile(np.asarray(start, dtype=np.int64), (n, 1))
     states = np.full(n, machine.initial_state, dtype=np.int64)
     seq_err = np.zeros(n, dtype=np.int64)
     step_totals = []
     for i in range(t):
+        if i == widen_at:
+            counts = counts.astype(object)
         b = column(i)
         pred = (counts @ deg0 < counts @ deg1).astype(np.int64)
         o = tout[states, b]
@@ -296,7 +299,11 @@ def _generic_totals(
     t: int,
     sequences: Iterable[int],
 ) -> tuple[int, int, list[int]]:
-    """Per-sequence loop over bit-packed inputs; works for any predictor."""
+    """Per-sequence loop over bit-packed inputs; works for any predictor.
+
+    Monte Carlo runs predictors from outside the package through it, and the
+    tests use it as the reference for the other engines.
+    """
     trans = machine.transition
     out = machine.output
     total, wc = 0, 0
@@ -324,7 +331,7 @@ def _generic_totals(
 # ---------------------------------------------------------------------------
 # dispatch
 
-def _vector_plan(machine: MealyMachine, predictor: Predictor, t: int):
+def _vector_plan(machine: MealyMachine, predictor: Predictor):
     """Return (sweep kind, sweep params) when a vectorized sampler applies."""
     if isinstance(predictor, KnownStatePredictor) and predictor.machine == machine:
         return "known_state", (machine,)
@@ -332,17 +339,9 @@ def _vector_plan(machine: MealyMachine, predictor: Predictor, t: int):
         return "constant", (machine, predictor.bit)
     if isinstance(predictor, AutomatonPredictor):
         return "automaton", (machine, predictor.machine)
-    if isinstance(predictor, ConsistencyPredictor) and t <= _VEC_T_LIMIT:
-        return "consistency", (machine, predictor.machine)
+    if isinstance(predictor, ConsistencyPredictor):
+        return "consistency", (machine, predictor)
     return None
-
-
-def _supports_snapshot(predictor: Predictor) -> bool:
-    try:
-        predictor.restore(predictor.snapshot())
-    except NotImplementedError:
-        return False
-    return True
 
 
 def _exact_totals(
@@ -351,9 +350,7 @@ def _exact_totals(
     """Exact error totals over all ``2**t`` inputs from the initial state."""
     with _lenient(predictor):
         predictor.reset()
-        if _supports_snapshot(predictor):
-            return _frontier_totals(machine, predictor, t, {machine.initial_state: 1})
-        return _generic_totals(machine, predictor, t, range(1 << t))
+        return _frontier_totals(machine, predictor, t, {machine.initial_state: 1})
 
 
 def evaluate_exhaustive(
@@ -412,7 +409,7 @@ def evaluate_monte_carlo(
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=(samples, t), dtype=np.uint8)
     with _lenient(predictor):
-        plan = _vector_plan(machine, predictor, t)
+        plan = _vector_plan(machine, predictor)
         if plan is not None:
             kind, params = plan
             total, wc, step = _SWEEPS[kind](*params, t, *_matrix_columns(bits))
@@ -442,15 +439,12 @@ def evaluate_monte_carlo(
 
 def consistency_profile(machine: MealyMachine, observed: Bits) -> tuple[int, ...]:
     """Per-state counts of input sequences consistent with an observed prefix."""
-    mats = OutputTransitionMatrices.from_machine(machine)
-    rows = (mats.sparse_rows(0), mats.sparse_rows(1))
-    counts = [0] * machine.num_states
-    counts[machine.initial_state] = 1
+    predictor = ConsistencyPredictor(machine, strict=False)
     for bit in observed:
-        counts = advance_counts(counts, rows[bit])
-        if not any(counts):
+        if not predictor.consistent:
             break
-    return tuple(counts)
+        predictor.observe(bit)
+    return predictor.consistency_vector
 
 
 @dataclass(frozen=True)
@@ -518,8 +512,6 @@ def _train_predictor(predictor: Predictor, training: Bits) -> tuple[int, bool]:
         errors += int(predictor.predict() != bit)
         predictor.observe(bit)
     died = isinstance(predictor, ConsistencyPredictor) and not predictor.consistent
-    if isinstance(predictor, EnsemblePredictor):
-        died = not predictor.alive()
     return errors, died
 
 

@@ -6,6 +6,10 @@ initial knowledge state. A prediction may depend only on the observed prefix,
 with one sanctioned exception: :class:`KnownStatePredictor` is granted the
 generator's true state through ``inform_state`` (evaluation drivers call it
 before every ``predict``) and exists to measure the perfect-knowledge floor.
+
+Every predictor offers ``snapshot``/``restore``, which exact evaluation
+requires. The model-tracking predictors share one count vector: the ensemble
+is the consistency predictor of the disjoint union of its candidates.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import logging
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from .automaton import Bits, MealyMachine, machine_id
@@ -31,8 +36,6 @@ class Predictor(ABC):
     observation branches that leave equal snapshots, so a snapshot must be
     hashable and capture everything later predictions depend on (state given
     through ``inform_state`` may steer ``predict`` but not ``observe``).
-    Without them, exact evaluation falls back to a per-sequence loop over
-    every input sequence.
     """
 
     label: str = "predictor"
@@ -49,11 +52,11 @@ class Predictor(ABC):
     def inform_state(self, state: int) -> None:
         """Receive the generator's true state; ignored by ordinary predictors."""
 
-    def snapshot(self):
-        raise NotImplementedError
+    @abstractmethod
+    def snapshot(self): ...
 
-    def restore(self, snap) -> None:
-        raise NotImplementedError
+    @abstractmethod
+    def restore(self, snap) -> None: ...
 
 
 class ConstantPredictor(Predictor):
@@ -167,13 +170,15 @@ class ConsistencyPredictor(Predictor):
     """Optimal predictor when the machine is known but its state is not.
 
     Tracks, per state, the exact number of input sequences consistent with
-    the observed output prefix that end there. The counts of one-step
-    continuations emitting 0 versus 1 decide the prediction; ties go to 0.
-    Counts are exact big integers, so ties are decided exactly.
+    the observed output prefix that end there: the unnormalized forward
+    vector of the machine read as an edge-emitting HMM. The counts of
+    one-step continuations emitting 0 versus 1 decide the prediction; ties
+    go to 0. Counts are exact big integers, so ties are decided exactly.
 
     With ``strict`` set (the default) an observation that empties the
-    consistency class raises :class:`InconsistentObservation`; otherwise the
-    predictor goes dead and keeps emitting the tie-rule 0.
+    consistency class raises :class:`InconsistentObservation` and leaves the
+    counts as they were; otherwise the predictor goes dead and keeps
+    emitting the tie-rule 0.
     """
 
     def __init__(self, machine: MealyMachine, *, strict: bool = True):
@@ -183,12 +188,11 @@ class ConsistencyPredictor(Predictor):
         self._deg = (self.matrices.out_degrees(0), self.matrices.out_degrees(1))
         self.strict = strict
         self.label = f"consistency:{machine_id(machine)[:12]}"
-        self._counts: list[int] = []
+        self._start = tuple(int(s == machine.initial_state) for s in range(machine.num_states))
         self.reset()
 
     def reset(self):
-        self._counts = [0] * self.machine.num_states
-        self._counts[self.machine.initial_state] = 1
+        self._counts = list(self._start)
 
     @property
     def consistency_vector(self) -> tuple[int, ...]:
@@ -218,12 +222,15 @@ class ConsistencyPredictor(Predictor):
         new = advance_counts(self._counts, self._rows[bit])
         if not any(new):
             if self.strict:
-                raise InconsistentObservation(
-                    f"observed bit {bit} is impossible for machine "
-                    f"{machine_id(self.machine)[:12]} given the prefix so far"
-                )
+                raise InconsistentObservation(self._impossible(bit))
             log.debug("%s: model ruled out by observation", self.label)
         self._counts = new
+
+    def _impossible(self, bit: int) -> str:
+        return (
+            f"observed bit {bit} is impossible for machine "
+            f"{machine_id(self.machine)[:12]} given the prefix so far"
+        )
 
     def snapshot(self):
         return tuple(self._counts)
@@ -232,63 +239,49 @@ class ConsistencyPredictor(Predictor):
         self._counts = list(snap)
 
 
-class EnsemblePredictor(Predictor):
+class EnsemblePredictor(ConsistencyPredictor):
     """Optimal predictor when the machine is one of a known finite set.
 
-    Keeps one consistency count vector per candidate and compares the summed
-    continuation counts across all still-consistent (machine, sequence)
-    pairs, each pair weighted equally. Candidates ruled out by an observation
-    are dropped silently; only when every candidate is gone does a strict
-    ensemble raise.
+    Counts the still-consistent (machine, input sequence) pairs, each pair
+    weighted equally. That is consistency prediction on the disjoint union of
+    the candidates, one block of states each, started with one count at each
+    candidate's initial state. Candidates ruled out by an observation drop
+    out silently; only when every candidate is gone does a strict ensemble
+    raise.
     """
 
     def __init__(self, machines: Sequence[MealyMachine], *, strict: bool = True):
         if not machines:
             raise ValueError("ensemble needs at least one machine")
-        self.members = tuple(
-            ConsistencyPredictor(m, strict=False) for m in machines
+        ends = tuple(accumulate(m.num_states for m in machines))
+        offsets = (0,) + ends[:-1]
+        union = MealyMachine(
+            ends[-1],
+            tuple(tuple(o + s for s in row) for m, o in zip(machines, offsets) for row in m.transition),
+            tuple(row for m in machines for row in m.output),
         )
-        self.strict = strict
-        self.label = f"ensemble-{len(self.members)}"
-
-    def reset(self):
-        for m in self.members:
-            m.reset()
+        super().__init__(union, strict=strict)
+        self.label = f"ensemble-{len(machines)}"
+        self._members = tuple(machines)
+        self._blocks = tuple(zip(offsets, ends))
+        self._start = tuple(int(s == m.initial_state) for m in machines for s in range(m.num_states))
+        self.reset()
 
     def alive(self) -> tuple[int, ...]:
-        return tuple(i for i, m in enumerate(self.members) if m.consistent)
-
-    def pending_counts(self) -> tuple[int, int]:
-        p = q = 0
-        for m in self.members:
-            mp, mq = m.pending_counts()
-            p += mp
-            q += mq
-        return p, q
-
-    def predict(self) -> int:
-        p, q = self.pending_counts()
-        return 0 if p >= q else 1
+        """Indices of the candidates that can still produce the observed prefix."""
+        return tuple(i for i, (a, b) in enumerate(self._blocks) if any(self._counts[a:b]))
 
     def observe(self, bit: int):
-        before = self.snapshot() if self.strict else None
-        for i, m in enumerate(self.members):
-            was_alive = m.consistent
-            m.observe(bit)
-            if was_alive and not m.consistent:
-                log.debug("ensemble: candidate %d (%s) eliminated", i, m.label)
-        if self.strict and not any(m.consistent for m in self.members):
-            self.restore(before)
-            raise InconsistentObservation(
-                "observed prefix is impossible for every machine in the ensemble"
-            )
+        before = self.alive() if log.isEnabledFor(logging.DEBUG) else ()
+        super().observe(bit)
+        now = self.alive() if before else ()
+        for i in before:
+            if i not in now:
+                log.debug("ensemble: candidate %d (consistency:%s) eliminated",
+                          i, machine_id(self._members[i])[:12])
 
-    def snapshot(self):
-        return tuple(m.snapshot() for m in self.members)
-
-    def restore(self, snap):
-        for m, s in zip(self.members, snap):
-            m.restore(s)
+    def _impossible(self, bit: int) -> str:
+        return "observed prefix is impossible for every machine in the ensemble"
 
 
 class AutomatonPredictor(Predictor):
@@ -370,8 +363,6 @@ def trace_predictor(
         observed.append(out)
         cumulative.append(errors)
     consistent = getattr(predictor, "consistent", True)
-    if isinstance(predictor, EnsemblePredictor):
-        consistent = bool(predictor.alive())
     return PredictorTrace(
         tuple(predictions), tuple(observed), tuple(cumulative), bool(consistent)
     )

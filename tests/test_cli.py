@@ -164,6 +164,26 @@ class TestExitCodes:
         result = runner.invoke(main, ["run", "-m", files["const0"], "--input", "01x"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("args, code", [
+        (["enumerate", "-k", "0"], 2),
+        (["run", "-m", "{echo}", "--input", "@{tmp}/missing"], 2),
+        (["search", "--target", "{echo}", "-k", "1", "--after-training", "@{tmp}/missing"], 2),
+        (["replay", "{tmp}/missing.json"], 2),
+        (["analyze", "-m", "{echo}", "--out", "{tmp}/no/dir.json"], 2),
+        (["enumerate", "-k", "1", "--out", "{tmp}/no/dir.txt"], 2),
+        (["evaluate", "-m", "{echo}", "-t", "1000", "--method", "monte-carlo",
+          "--samples", "1000000000"], 3),
+    ])
+    def test_failure_exits_with_its_code(self, runner, files, tmp_path, monkeypatch, args, code):
+        def too_big(*_args, **_kwargs):
+            raise MemoryError("Unable to allocate 931. GiB for an array")
+
+        # a request too large to allocate, without allocating it
+        monkeypatch.setattr("mealypred.cli.evaluate_monte_carlo", too_big)
+        result = runner.invoke(main, [a.format(tmp=tmp_path, **files) for a in args])
+        assert result.exit_code == code, result.output
+        assert "Traceback" not in result.output
+
 
 class TestPredict:
     def test_consistency_trace(self, runner, files):

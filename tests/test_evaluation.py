@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mealypred import (
@@ -28,7 +29,7 @@ import oracles
 
 
 class _FlipFlopPredictor(Predictor):
-    """Alternates guesses; deliberately offers no snapshot support."""
+    """Alternates guesses; a predictor from outside the package."""
 
     label = "flip-flop"
 
@@ -43,6 +44,12 @@ class _FlipFlopPredictor(Predictor):
 
     def observe(self, bit):
         self._next ^= 1
+
+    def snapshot(self):
+        return self._next
+
+    def restore(self, snap):
+        self._next = snap
 
 
 class TestExhaustive:
@@ -100,7 +107,7 @@ class TestExhaustive:
                 )
 
     def test_workers_handle_arbitrary_predictors(self, echo):
-        # no snapshot support: evaluation falls back to the per-sequence loop
+        # a foreign predictor runs through the same merged-frontier engine
         r = evaluate_exhaustive(echo, _FlipFlopPredictor(), 8)
         assert r.e_ave == oracles.predictor_error_double_sum(echo, lambda p: len(p) % 2, 8)
 
@@ -137,14 +144,27 @@ class TestMonteCarlo:
         assert abs(mc.e_ave - float(exact.e_ave)) <= 0.01
 
     def test_generic_and_vector_paths_agree(self):
+        # The count kernel against the per-sequence loop on the same sampled
+        # bits. At t = 70 the kernel's counts pass int64 and turn exact; the
+        # constant machine's counts double every step, so they do get there.
         rng = random.Random(6)
-        for _ in range(5):
-            m = random_machine(3, rng)
-            p = ConsistencyPredictor(m)
-            fast = evaluate_monte_carlo(m, p, 9, 400, seed=3)
-            ens = EnsemblePredictor([m])  # same predictions, generic engine
-            slow = evaluate_monte_carlo(m, ens, 9, 400, seed=3)
-            assert fast.e_ave == slow.e_ave and fast.e_wc == slow.e_wc
+        samples, seed = 100, 3
+        for t in (9, 70):
+            bits = np.random.default_rng(seed).integers(0, 2, size=(samples, t), dtype=np.uint8)
+            packed = [sum(int(b) << i for i, b in enumerate(row)) for row in bits]
+            for m in [constant_machine(0)] + [random_machine(rng.randint(1, 6), rng) for _ in range(3)]:
+                a, b = random_machine(rng.randint(1, 4), rng), random_machine(2, rng)
+                for p in (
+                    ConsistencyPredictor(m),
+                    EnsemblePredictor([a, m]),
+                    EnsemblePredictor([a, m, b]),
+                ):
+                    fast = evaluate_monte_carlo(m, p, t, samples, seed, per_step=True)
+                    with _lenient(p):
+                        total, wc, step = _generic_totals(m, p, t, packed)
+                    assert fast.e_ave == total / (t * samples)
+                    assert fast.e_wc == wc / t
+                    assert fast.per_step_errors == tuple(c / samples for c in step)
 
 
 class TestPredictorMachineError:

@@ -1,5 +1,6 @@
 """Online predictors: state-informed, consistency tracking, and ensembles."""
 
+import logging
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from mealypred import (
     OutputTransitionMatrices,
     adjacency,
     evaluate_exhaustive,
+    machine_id,
     trace_predictor,
 )
 from mealypred.enumeration import enumerate_machines
@@ -192,7 +194,7 @@ class TestEnsemble:
 
             walk(0)
 
-    def test_elimination_then_constant_zero(self, const0, const1):
+    def test_elimination_then_constant_zero(self, const0, const1, echo, caplog):
         ens = EnsemblePredictor([const0, const1])
         ens.reset()
         assert ens.predict() == 0  # tie between the two candidates
@@ -201,13 +203,25 @@ class TestEnsemble:
         for _ in range(4):
             assert ens.predict() == 0
             ens.observe(0)
+        # the middle candidate dies first; alive() keeps candidate order
+        ens = EnsemblePredictor([const0, const1, echo])
+        with caplog.at_level(logging.DEBUG, logger="mealypred"):
+            ens.observe(0)
+        assert ens.alive() == (0, 2)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"ensemble: candidate 1 (consistency:{machine_id(const1)[:12]}) eliminated"
+        ]
+        ens.observe(1)
+        assert ens.alive() == (2,)
 
     def test_all_eliminated_raises(self, const0, const1):
         ens = EnsemblePredictor([const0, const1])
         ens.reset()
         ens.observe(0)
+        before = (ens.alive(), ens.snapshot(), ens.predict())
         with pytest.raises(InconsistentObservation):
             ens.observe(1)
+        assert (ens.alive(), ens.snapshot(), ens.predict()) == before
 
     def test_aggregate_tie_predicts_zero(self):
         # brute-force hunt for a cross-machine tie reached along a real prefix
