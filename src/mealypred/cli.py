@@ -172,24 +172,27 @@ def _exec_analyze(config: dict) -> dict:
     }
 
 
-def _exec_predict(config: dict) -> dict:
+def _load_predictor(config: dict):
+    """The generator, the predictor the config names, and (path, machine) for
+    every machine loaded: the generator first, then the predictor's machine
+    and the candidates when given."""
     machine = _load_machine(config["machine"])
-    predictor_machine = (
-        _load_machine(config["predictor_machine"]) if config.get("predictor_machine") else None
-    )
+    loaded = [(config["machine"], machine)]
+    predictor_machine = None
+    if config.get("predictor_machine"):
+        predictor_machine = _load_machine(config["predictor_machine"])
+        loaded.append((config["predictor_machine"], predictor_machine))
     candidates = [_load_machine(p) for p in config.get("candidates", [])]
-    predictor = _build_predictor(
-        config["predictor"], machine, predictor_machine, candidates
-    )
+    loaded.extend(zip(config.get("candidates", []), candidates))
+    predictor = _build_predictor(config["predictor"], machine, predictor_machine, candidates)
+    return machine, predictor, loaded
+
+
+def _exec_predict(config: dict) -> dict:
+    machine, predictor, loaded = _load_predictor(config)
     trace = trace_predictor(machine, predictor, Bits.from_string(config["input"]))
-    machines = [_machine_entry(config["machine"], machine)]
-    if predictor_machine is not None:
-        machines.append(_machine_entry(config["predictor_machine"], predictor_machine))
-    machines.extend(
-        _machine_entry(p, m) for p, m in zip(config.get("candidates", []), candidates)
-    )
     return {
-        "machines": machines,
+        "machines": [_machine_entry(p, m) for p, m in loaded],
         "result": {
             "predictor": predictor.label,
             "predictions": "".join(str(b) for b in trace.predictions),
@@ -203,14 +206,7 @@ def _exec_predict(config: dict) -> dict:
 
 
 def _exec_evaluate(config: dict) -> dict:
-    machine = _load_machine(config["machine"])
-    predictor_machine = (
-        _load_machine(config["predictor_machine"]) if config.get("predictor_machine") else None
-    )
-    candidates = [_load_machine(p) for p in config.get("candidates", [])]
-    predictor = _build_predictor(
-        config["predictor"], machine, predictor_machine, candidates
-    )
+    machine, predictor, _ = _load_predictor(config)
     if config["method"] == "exhaustive":
         report = evaluate_exhaustive(
             machine,

@@ -96,30 +96,12 @@ def orbit_size(machine: MealyMachine) -> int:
 
 
 def is_strongly_connected(machine: MealyMachine) -> bool:
-    """True when every state can reach every other along transitions."""
+    """True when every state can reach every other along transitions:
+    state 0 reaches them all, and each of them reaches state 0."""
     k = machine.num_states
-    if k == 1:
-        return True
-    forward = [set() for _ in range(k)]
-    backward = [set() for _ in range(k)]
-    for s in range(k):
-        for b in (0, 1):
-            n = machine.transition[s][b]
-            forward[s].add(n)
-            backward[n].add(s)
-
-    def covers(adj) -> bool:
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            s = frontier.pop()
-            for n in adj[s]:
-                if n not in seen:
-                    seen.add(n)
-                    frontier.append(n)
-        return len(seen) == k
-
-    return covers(forward) and covers(backward)
+    return len(machine.reachable_states(0)) == k and all(
+        0 in machine.reachable_states(s) for s in range(1, k)
+    )
 
 
 def enumerate_machines(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mealypred import (
+    AutomatonPredictor,
     BatchProblem,
     CapExceeded,
     ConsistencyPredictor,
@@ -127,7 +128,7 @@ class TestMonteCarlo:
         b = evaluate_monte_carlo(echo, ConsistencyPredictor(echo), 16, 500, seed=7)
         assert a == b
         c = evaluate_monte_carlo(echo, ConsistencyPredictor(echo), 16, 500, seed=8)
-        assert c.e_ave != a.e_ave or c.e_wc != a.e_wc or True  # different stream ok
+        assert (c.e_ave, c.e_wc) != (a.e_ave, a.e_wc)
 
     def test_constant_machine_scores_zero(self, const0):
         r = evaluate_monte_carlo(const0, ConsistencyPredictor(const0), 32, 2000)
@@ -144,9 +145,10 @@ class TestMonteCarlo:
         assert abs(mc.e_ave - float(exact.e_ave)) <= 0.01
 
     def test_generic_and_vector_paths_agree(self):
-        # The count kernel against the per-sequence loop on the same sampled
-        # bits. At t = 70 the kernel's counts pass int64 and turn exact; the
-        # constant machine's counts double every step, so they do get there.
+        # The count kernel and the product sweep against the per-sequence
+        # loop on the same sampled bits. At t = 70 the kernel's counts pass
+        # int64 and turn exact; the constant machine's counts double every
+        # step, so they do get there.
         rng = random.Random(6)
         samples, seed = 100, 3
         for t in (9, 70):
@@ -154,10 +156,16 @@ class TestMonteCarlo:
             packed = [sum(int(b) << i for i, b in enumerate(row)) for row in bits]
             for m in [constant_machine(0)] + [random_machine(rng.randint(1, 6), rng) for _ in range(3)]:
                 a, b = random_machine(rng.randint(1, 4), rng), random_machine(2, rng)
+                other = random_machine(m.num_states, rng)
                 for p in (
                     ConsistencyPredictor(m),
                     EnsemblePredictor([a, m]),
                     EnsemblePredictor([a, m, b]),
+                    KnownStatePredictor(m),
+                    KnownStatePredictor(other),
+                    ConstantPredictor(0),
+                    ConstantPredictor(1),
+                    AutomatonPredictor(a),
                 ):
                     fast = evaluate_monte_carlo(m, p, t, samples, seed, per_step=True)
                     with _lenient(p):
