@@ -6,6 +6,10 @@ Relabelings that keep the distinguished initial state at index 0 identify
 isomorphic machines; canonical mode yields the lexicographically least
 member of each class. The quotient is far smaller than dividing by k!
 suggests, because only permutations fixing the initial state apply.
+
+The machines are produced as integer ``(next, out)`` tables, a fixed-size
+chunk at a time (:func:`machine_tables`); listing and counting read the
+chunks, and predictor search scores them without building machines.
 """
 
 from __future__ import annotations
@@ -13,11 +17,14 @@ from __future__ import annotations
 from itertools import permutations, product
 from typing import Iterator
 
+import numpy as np
+
 from .automaton import MealyMachine
 from .evaluation import CapExceeded
 
 RAW_K_CAP = 3
 CANONICAL_K_CAP = 4
+CHUNK_ROWS = 1 << 13  # most raw rows per table chunk: k=3 spans 6 chunks, k=4 spans 4,096
 
 _MODES = ("raw", "canonical", "strongly_connected")
 
@@ -104,6 +111,65 @@ def is_strongly_connected(machine: MealyMachine) -> bool:
     )
 
 
+def _keys(slots: np.ndarray) -> np.ndarray:
+    """Rows as byte strings, which compare like the key tuples: the first
+    differing slot code decides. NumPy ignores trailing NUL bytes when it
+    compares them, which keeps this order, since NUL is the least byte."""
+    return np.ascontiguousarray(slots, dtype=np.uint8).view(f"S{slots.shape[1]}").ravel()
+
+
+def _relabelings(k: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per non-identity admissible relabeling ``perm``: the old columns in
+    new order (new state ``perm[s]`` takes old state ``s``'s two slots), and
+    the slot code each old code becomes once its successor is renamed."""
+    out = []
+    for perm in _admissible_perms(k, 0)[1:]:  # the first is the identity
+        inverse = np.argsort(perm)
+        columns = np.stack([2 * inverse, 2 * inverse + 1], axis=1).ravel()
+        out.append((columns, (2 * np.repeat(perm, 2) + np.tile((0, 1), k)).astype(np.uint8)))
+    return out
+
+
+def machine_tables(
+    k: int,
+    mode: str,
+    *,
+    max_raw_states: int = RAW_K_CAP,
+    max_canonical_states: int = CANONICAL_K_CAP,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield the k-state machines as ``(next, out)`` tables of shape ``(n, k, 2)``.
+
+    Row i of the raw list holds the base-2k digits of i, one slot code
+    ``2 * next + out`` per (state, input) slot, so rows come in serialization
+    order. Each chunk fixes the leading slots and runs through every choice of
+    the trailing ones, at most ``CHUNK_ROWS`` rows. Modes other than ``raw``
+    keep the rows that are least among their relabelings; ``strongly_connected``
+    is filtered further by :func:`enumerate_machines`.
+    """
+    if mode not in _MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
+    if k < 1:
+        raise ValueError("state count must be positive")
+    cap = max_raw_states if mode == "raw" else max_canonical_states
+    if k > cap:
+        raise CapExceeded(
+            f"enumeration of {k}-state machines in {mode} mode exceeds the cap of "
+            f"{cap} (roughly {raw_machine_count(k):.3g} raw machines)"
+        )
+    base, width = 2 * k, 2 * k
+    trailing = 1
+    while trailing < width and base ** (trailing + 1) <= CHUNK_ROWS:
+        trailing += 1
+    tail = np.indices((base,) * trailing, dtype=np.uint8).reshape(trailing, -1).T
+    relabelings = _relabelings(k) if mode != "raw" else []
+    for lead in product(range(base), repeat=width - trailing):
+        slots = np.hstack([np.full((len(tail), len(lead)), lead, dtype=np.uint8), tail])
+        for columns, rename in relabelings:
+            slots = slots[_keys(rename[slots[:, columns]]) >= _keys(slots)]
+        slots = slots.astype(np.intp)
+        yield (slots >> 1).reshape(-1, k, 2), (slots & 1).reshape(-1, k, 2)
+
+
 def enumerate_machines(
     k: int,
     mode: str = "raw",
@@ -117,48 +183,23 @@ def enumerate_machines(
     per relabeling class; ``strongly_connected`` the canonical machines whose
     transition digraph is strongly connected. All machines start at state 0.
     The ordering is pure integer comparison, identical on every platform.
-    Predictor search relies on it: it breaks score ties toward the least
-    serialization by a stable sort over candidates in this order.
+    Predictor search scores the same :func:`machine_tables` chunks and breaks
+    score ties toward the least serialization by a stable sort in this order.
     """
-    if mode not in _MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
-    if k < 1:
-        raise ValueError("state count must be positive")
-    cap = max_raw_states if mode == "raw" else max_canonical_states
-    if k > cap:
-        raise CapExceeded(
-            f"enumeration of {k}-state machines in {mode} mode exceeds the cap of "
-            f"{cap} (roughly {raw_machine_count(k):.3g} raw machines)"
-        )
-
-    perms = _admissible_perms(k, 0)
-    non_identity = [p for p in perms if any(p[i] != i for i in range(k))]
-    slots = list(product(range(k), (0, 1)))  # (next, out) choices in key order
-
-    for combo in product(range(2 * k), repeat=2 * k):
-        trans = tuple(
-            (slots[combo[2 * s]][0], slots[combo[2 * s + 1]][0]) for s in range(k)
-        )
-        out = tuple(
-            (slots[combo[2 * s]][1], slots[combo[2 * s + 1]][1]) for s in range(k)
-        )
-        if mode != "raw" and non_identity:
-            key = None
-            minimal = True
-            for p in non_identity:
-                if key is None:
-                    key = _relabel_key(trans, out, k, tuple(range(k)))
-                if _relabel_key(trans, out, k, p) < key:
-                    minimal = False
-                    break
-            if not minimal:
+    tables = machine_tables(
+        k, mode, max_raw_states=max_raw_states, max_canonical_states=max_canonical_states
+    )
+    for nxt, out in tables:
+        for trans, outs in zip(nxt.tolist(), out.tolist()):
+            machine = MealyMachine(k, trans, outs, 0)
+            if mode == "strongly_connected" and not is_strongly_connected(machine):
                 continue
-        machine = MealyMachine(k, trans, out, 0)
-        if mode == "strongly_connected" and not is_strongly_connected(machine):
-            continue
-        yield machine
+            yield machine
 
 
 def count_machines(k: int, mode: str = "raw", **caps) -> int:
-    """Exact count of machines yielded by :func:`enumerate_machines`."""
-    return sum(1 for _ in enumerate_machines(k, mode, **caps))
+    """Exact count of machines yielded by :func:`enumerate_machines`; the raw
+    and canonical counts are the row counts of :func:`machine_tables`."""
+    if mode == "strongly_connected":
+        return sum(1 for _ in enumerate_machines(k, mode, **caps))
+    return sum(len(nxt) for nxt, _ in machine_tables(k, mode, **caps))

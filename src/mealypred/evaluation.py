@@ -227,8 +227,7 @@ def _frontier_totals(
     predictor: Predictor,
     t: int,
     start: dict[int, int],
-    bound: int | None = None,
-) -> tuple[int, int, list[int]] | None:
+) -> tuple[int, int, list[int]]:
     """Exact error totals by one depth-by-depth pass with merged predictor states.
 
     The frontier maps a predictor snapshot to ``{generator state: (number of
@@ -238,16 +237,11 @@ def _frontier_totals(
     prefixes that leave equal snapshots share every later prediction and
     merge into one node; errors are linear in the counts, and an error at
     depth ``d`` stands for all ``2**(t - d - 1)`` completions.
-
-    With ``bound``, the pass returns ``None`` as soon as the weighted errors
-    of the depths done so far exceed it: errors are never negative, so the
-    total would exceed it too.
     """
     trans, out = machine.transition, machine.output
     root = predictor.snapshot()
     frontier = {root: {s: (n, 0) for s, n in start.items() if n}}
     step = [0] * t
-    so_far = 0
     for depth in range(t):
         nxt: dict = {}
         wrong = 0
@@ -270,11 +264,6 @@ def _frontier_totals(
                     for s, (n, errs) in child.items():
                         _merge(merged, s, n, errs)
         step[depth] = wrong << (t - depth - 1)
-        if bound is not None:
-            so_far += step[depth]
-            if so_far > bound:
-                predictor.restore(root)
-                return None
         frontier = nxt
     predictor.restore(root)
     wc = max((e for states in frontier.values() for _, e in states.values()), default=0)
@@ -322,6 +311,16 @@ def _generic_totals(
 # ---------------------------------------------------------------------------
 # dispatch
 
+def _check_informed(machine: MealyMachine, predictor: Predictor) -> None:
+    """A known-state predictor is told the generator's states, so its own
+    machine needs at least as many of them."""
+    if isinstance(predictor, KnownStatePredictor) and predictor.machine.num_states < machine.num_states:
+        raise ValueError(
+            f"known-state predictor has {predictor.machine.num_states} states, "
+            f"fewer than the generator's {machine.num_states}"
+        )
+
+
 def evaluate_exhaustive(
     machine: MealyMachine,
     predictor: Predictor,
@@ -343,6 +342,7 @@ def evaluate_exhaustive(
             f"horizon {t} exceeds the exhaustive cap of {cap} "
             f"(2**{t} sequences); raise the cap explicitly or use Monte Carlo"
         )
+    _check_informed(machine, predictor)
     with _lenient(predictor):
         predictor.reset()
         total, wc, step = _frontier_totals(machine, predictor, t, {machine.initial_state: 1})
@@ -377,6 +377,7 @@ def evaluate_monte_carlo(
         raise ValueError("horizon must be at least 1")
     if samples < 1:
         raise ValueError("samples must be positive")
+    _check_informed(machine, predictor)
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=(samples, t), dtype=np.uint8)
     predictor.reset()

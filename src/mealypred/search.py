@@ -5,33 +5,35 @@ emits on each step is its guess for the next observation. With the state
 budget fixed in advance, every canonical machine of that size is a
 candidate, and the best exact scorer against the target machines wins.
 
-Many candidates guess alike, so a candidate is scored through its behaviour:
-the states reachable from where it starts, merged by Moore partition
-refinement into its minimal observation -> guess machine. Each distinct
-behaviour is scored once and its score is shared by every candidate that
-has it. Scoring also stops early: once ``top_n`` candidates are known, a
-behaviour whose errors so far exceed the ``top_n``-th best total cannot
-reach the leaderboard, and all of its candidates are skipped.
+The candidates arrive as integer ``(next, out)`` tables from
+:func:`~mealypred.enumeration.machine_tables`, a chunk at a time, and every
+candidate of a chunk is scored at once. The targets are read as one
+disjoint union, and the pass keeps, per candidate, the number of input
+sequences in each (candidate state, pending guess, target state) triple:
+the merged frontier the exact engine builds for an automaton predictor,
+advanced for the whole chunk by a few array operations per depth. A
+leaderboard of the best rows is carried from chunk to chunk, and only its
+rows become :class:`MealyMachine` objects.
 """
 
 from __future__ import annotations
 
-import heapq
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .automaton import Bits, MealyMachine, machine_id, serialize_machine
-from .enumeration import CANONICAL_K_CAP, enumerate_machines
+from .enumeration import CANONICAL_K_CAP, machine_tables
 from .evaluation import (
     EXHAUSTIVE_T_CAP,
     CapExceeded,
     InconsistentTrainingData,
-    _frontier_totals,
     consistency_profile,
 )
-from .predictors import AutomatonPredictor
+from .predictors import OutputTransitionMatrices
 
 log = logging.getLogger(__name__)
 
@@ -70,68 +72,6 @@ class SearchResult:
         }
 
 
-def _behaviour(machine: MealyMachine, state: int, pending: int) -> tuple:
-    """Key of the guesses an automaton predictor makes from ``(state, pending)``.
-
-    The states reachable from ``state`` are merged by partition refinement
-    and the merged classes are numbered in breadth-first order from
-    ``state``'s class. Two keys are equal exactly when the predictors make
-    the same guess after every observed prefix, so they score alike against
-    any target.
-    """
-    trans, out = machine.transition, machine.output
-    reach = [state]
-    for s in reach:
-        for n in trans[s]:
-            if n not in reach:
-                reach.append(n)
-    block: dict = {s: out[s] for s in reach}
-    classes = len(set(block.values()))
-    while True:
-        ids: dict = {}
-        block = {
-            s: ids.setdefault((block[s], block[trans[s][0]], block[trans[s][1]]), len(ids))
-            for s in reach
-        }
-        if len(ids) == classes:
-            break
-        classes = len(ids)
-    number = {block[state]: 0}
-    reps = [state]
-    table = []
-    for s in reps:
-        for b in (0, 1):
-            n = trans[s][b]
-            if block[n] not in number:
-                number[block[n]] = len(reps)
-                reps.append(n)
-            table.append((number[block[n]], out[s][b]))
-    return pending, tuple(table)
-
-
-def _score(
-    machine: MealyMachine,
-    snap: tuple[int, int],
-    targets: Sequence[MealyMachine],
-    starts: Sequence[dict[int, int]],
-    t: int,
-    bound: int | None,
-) -> int | None:
-    """Total errors of ``machine`` resumed at ``snap`` over every target's
-    continuations, or ``None`` once they exceed ``bound``."""
-    predictor = AutomatonPredictor(machine)
-    total = 0
-    for target, start in zip(targets, starts):
-        predictor.restore(snap)
-        result = _frontier_totals(
-            target, predictor, t, start, None if bound is None else bound - total
-        )
-        if result is None:
-            return None
-        total += result[0]
-    return total
-
-
 def _search(
     targets: Sequence[MealyMachine],
     starts: Sequence[dict[int, int]],
@@ -144,48 +84,65 @@ def _search(
 ) -> SearchResult:
     """Rank the canonical candidates once ``training`` has been fed to each.
 
-    Every target's pass starts from its ``starts`` entry, the number of
-    input sequences per generator state, and a candidate's score is its
-    total error over ``denom``. A candidate only needs an exact score if it
-    can still enter the best ``top_n``, so each new behaviour is scored with
-    the current ``top_n``-th best total as the bound. That bound only
-    tightens, so a behaviour pruned once stays pruned; ties are never
-    pruned, and candidates arrive in serialization order, so a stable sort
-    by score alone breaks ties toward the least machine.
+    Each target starts from its ``starts`` entry, the number of input
+    sequences per generator state, and a candidate's score is its total
+    error over ``denom``. Candidates arrive in serialization order and
+    each chunk is merged into the carried leaderboard by a stable sort on
+    the exact totals, so ties break toward the least machine.
     """
-    size = max(1, top_n)
-    best: list[int] = []  # negated totals of the ``size`` best candidates so far
-    totals: dict[tuple, int | None] = {}  # behaviour -> total, None when pruned
-    kept: list[tuple[MealyMachine, int]] = []
-    space = 0
-    for machine in enumerate_machines(
-        num_states, "canonical", max_canonical_states=max_canonical_states
-    ):
-        space += 1
-        snap = machine.step(machine.initial_state, 0)
+    k, size = num_states, max(1, top_n)
+    start = [st.get(s, 0) for m, st in zip(targets, starts) for s in range(m.num_states)]
+    # Counts at depth d sum to sum(start) * 2**d and a total is at most
+    # t * sum(start) * 2**t, so int64 is exact below this bound; above it
+    # the counts are Python integers in object arrays.
+    dtype = np.int64 if (sum(start) * t) << (t + 1) < 1 << 63 else object
+    g = len(start)
+    moves = np.zeros((g, 2, g), dtype=dtype)  # [state, emitted bit, next state], block-diagonal
+    at = 0
+    for m in targets:
+        mats = OutputTransitionMatrices.from_machine(m)
+        block = slice(at, at + m.num_states)
+        moves[block, 0, block], moves[block, 1, block] = mats.m0, mats.m1
+        at += m.num_states
+    # a pending guess p misses on the target's inputs that emit 1 - p
+    weights = np.tile(moves.sum(axis=2)[:, ::-1].T.ravel(), k)
+    moves = moves.reshape(g, 2 * g)
+    start = np.array(start, dtype=dtype)
+    board = np.zeros(0, dtype=dtype)
+    board_next = board_out = np.zeros((0, k, 2), dtype=np.intp)
+    space = chunks = 0
+    for nxt, out in machine_tables(k, "canonical", max_canonical_states=max_canonical_states):
+        n = len(nxt)
+        rows = np.arange(n)
+        # counts[c, 2 * s + p, x]: input sequences that leave candidate c in
+        # state s with pending guess p and the targets in state x. Observing
+        # o in state s moves candidate c to code 2 * next + out of slot
+        # (s, o): step[c] has a 1 at [code, 2 * s + o].
+        step = np.zeros((n, 2 * k, 2 * k), dtype=dtype)
+        step[rows[:, None], (2 * nxt + out).reshape(n, 2 * k), np.arange(2 * k)] = 1
+        state, pending = nxt[:, 0, 0], out[:, 0, 0]  # primed by a virtual 0
         for bit in training:
-            snap = machine.step(snap[0], bit)
-        key = _behaviour(machine, *snap)
-        if key in totals:
-            total = totals[key]
-        else:
-            bound = -best[0] if len(best) == size else None
-            total = totals[key] = _score(machine, snap, targets, starts, t, bound)
-        if total is None:
-            continue
-        if len(best) < size:
-            heapq.heappush(best, -total)
-        elif total < -best[0]:
-            heapq.heapreplace(best, -total)
-        else:
-            continue
-        kept.append((machine, total))
-    log.debug(
-        "%d candidates, %d distinct behaviours scored, %d of them pruned",
-        space, len(totals), sum(total is None for total in totals.values()),
+            state, pending = nxt[rows, state, bit], out[rows, state, bit]
+        counts = np.zeros((n, 2 * k, g), dtype=dtype)
+        counts[rows, 2 * state + pending] = start
+        total = np.zeros(n, dtype=dtype)
+        for _ in range(t):
+            # an error at depth d stands for 2**(t - d - 1) completions
+            total = 2 * total + counts.reshape(n, 2 * k * g) @ weights
+            mass = counts[:, 0::2] + counts[:, 1::2]
+            counts = step @ (mass @ moves).reshape(n, 2 * k, g)
+        board = np.concatenate([board, total])
+        keep = np.argsort(board, kind="stable")[:size]
+        board = board[keep]
+        board_next = np.concatenate([board_next, nxt])[keep]
+        board_out = np.concatenate([board_out, out])[keep]
+        space += n
+        chunks += 1
+    log.debug("%d candidates scored, table chunks: %d", space, chunks)
+    leaderboard = tuple(
+        (MealyMachine(k, trans, outs, 0), Fraction(total, denom))
+        for trans, outs, total in zip(board_next.tolist(), board_out.tolist(), board.tolist())
     )
-    kept.sort(key=lambda item: item[1])
-    leaderboard = tuple((m, Fraction(total, denom)) for m, total in kept[:size])
     best_machine, best_score = leaderboard[0]
     return SearchResult(
         best=best_machine,

@@ -132,6 +132,34 @@ def predictor_error_double_sum(machine, predict, t: int) -> Fraction:
     return Fraction(errors, t * (1 << t))
 
 
+def continuation_error_double_sum(machine, training, predict, c: int) -> tuple[int, int]:
+    """Continuation misses after observed training bits, by the literal sum.
+
+    Runs every input of length ``len(training) + c``, keeps those whose first
+    outputs equal the training bits, and counts the later steps where
+    ``predict`` (observed-bit tuple -> guess, training bits included) misses.
+    Returns (misses, kept inputs).
+    """
+    training = list(training)
+    n = len(training)
+    misses = kept = 0
+    for g in range(1 << (n + c)):
+        s = machine.initial_state
+        seen: tuple[int, ...] = ()
+        for i in range(n + c):
+            b = (g >> i) & 1
+            o = machine.output[s][b]
+            if i < n and o != training[i]:
+                break
+            if i >= n and predict(seen) != o:
+                misses += 1
+            seen = seen + (o,)
+            s = machine.transition[s][b]
+        else:
+            kept += 1
+    return misses, kept
+
+
 def _exact_inverse(a: list[list[Fraction]]) -> list[list[Fraction]]:
     """Inverse of a nonsingular square matrix by Gauss-Jordan elimination in
     exact rationals."""

@@ -360,8 +360,7 @@ class TestReproducibility:
         assert quiet.read_bytes() == loud.read_bytes()
         assert plain.stderr == ""
         assert verbose.stderr.splitlines() == [
-            "mealypred.search: 256 candidates, 120 distinct behaviours scored, "
-            "92 of them pruned"
+            "mealypred.search: 256 candidates scored, table chunks: 1"
         ]
         assert not logging.getLogger("mealypred").handlers
 

@@ -121,6 +121,12 @@ class TestExhaustive:
             assert r.e_ave == oracles.dp_known_state_error(m, t)
             assert sum(r.per_step_errors) == t * r.e_ave
 
+    def test_known_state_of_smaller_machine_refused(self):
+        rng = random.Random(44)
+        generator, small = random_machine(4, rng), random_machine(2, rng)
+        with pytest.raises(ValueError, match="has 2 states, fewer than the generator's 4"):
+            evaluate_exhaustive(generator, KnownStatePredictor(small), 6)
+
 
 class TestMonteCarlo:
     def test_deterministic_for_fixed_seed(self, echo):
@@ -173,6 +179,12 @@ class TestMonteCarlo:
                     assert fast.e_ave == total / (t * samples)
                     assert fast.e_wc == wc / t
                     assert fast.per_step_errors == tuple(c / samples for c in step)
+
+    def test_known_state_of_smaller_machine_refused(self):
+        rng = random.Random(44)
+        generator, small = random_machine(4, rng), random_machine(2, rng)
+        with pytest.raises(ValueError, match="has 2 states, fewer than the generator's 4"):
+            evaluate_monte_carlo(generator, KnownStatePredictor(small), 6, 50)
 
 
 class TestPredictorMachineError:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -16,11 +17,10 @@ from mealypred import (
     machine_id,
     search_after_training,
     search_best_predictor,
+    serialize_machine,
 )
 from mealypred.enumeration import enumerate_machines
-from mealypred.evaluation import _frontier_totals
 from mealypred.machines import constant_machine, echo_machine, random_machine
-from mealypred.search import _behaviour
 
 import oracles
 
@@ -29,17 +29,8 @@ def _primed(machine):
     return machine.step(machine.initial_state, 0)
 
 
-def _guesses(machine, snap, depth=5):
-    """Guess after every observed prefix of length <= ``depth``, level by level."""
-    guesses = []
-    level = [snap]
-    for _ in range(depth + 1):
-        guesses.extend(pending for _, pending in level)
-        level = [machine.step(state, b) for state, _ in level for b in (0, 1)]
-    return tuple(guesses)
-
-
 def _guess_function(machine):
+    @cache
     def predict(seen):
         state, pending = _primed(machine)
         for bit in seen:
@@ -167,47 +158,39 @@ class TestAfterTraining:
         # continue an all-ones stream without error
         assert perfect == {((1, 1),), ((0, 1),)}
 
+    def test_full_leaderboard_matches_continuation_double_sum(self):
+        rng = random.Random(53)
+        for case in range(4):
+            targets = [random_machine(rng.randint(1, 3), rng)
+                       for _ in range(rng.randint(1, 2))]
+            training = targets[0].run(Bits(rng.getrandbits(3), 3))
+            if case < 2:  # a target that cannot emit the training bits
+                targets.append(constant_machine(0 if 1 in training else 1))
+            c = rng.randint(2, 3)
+            res = search_after_training(targets, 2, training, c, top_n=256)
+            assert len(res.leaderboard) == res.evaluated == 256
+            for machine, score in res.leaderboard:
+                predict = _guess_function(machine)
+                sums = [oracles.continuation_error_double_sum(m, tuple(training), predict, c)
+                        for m in targets]
+                if case < 2:
+                    assert sums[-1] == (0, 0)
+                misses = sum(x for x, _ in sums)
+                kept = sum(n for _, n in sums)
+                assert score == Fraction(misses, c * kept), machine
 
-class TestBehaviourKey:
-    def test_equal_keys_exactly_when_guesses_agree_small(self):
-        cands = [m for k in (1, 2) for m in enumerate_machines(k, "canonical")]
-        keys = [_behaviour(m, *_primed(m)) for m in cands]
-        sigs = [_guesses(m, _primed(m)) for m in cands]
-        for i in range(len(cands)):
-            for j in range(i + 1, len(cands)):
-                assert (keys[i] == keys[j]) == (sigs[i] == sigs[j]), (cands[i], cands[j])
-        assert len(set(keys[4:])) == 120  # distinct behaviours of the 256 2-state candidates
-
-    def test_equal_keys_exactly_when_guesses_agree_k3_sample(self):
-        # within the sample, key equality and guess equality give one partition,
-        # which is the pairwise statement for every pair in it; 4-state machines
-        # can need a second refinement round, and prefixes of up to 4 + 4 - 1
-        # bits tell any two inequivalent ones apart
-        rng = random.Random(41)
-        pool = [m for k in (1, 2) for m in enumerate_machines(k, "canonical")]
-        pool += rng.sample(list(enumerate_machines(3, "canonical")), 1500)
-        pool += [random_machine(4, rng) for _ in range(300)]
-        keys, sigs = [], []
-        for m in pool:
-            snap = _primed(m)
-            if rng.random() < 0.5:  # resume after a few training bits
-                for _ in range(rng.randint(1, 4)):
-                    snap = m.step(snap[0], rng.randint(0, 1))
-            keys.append(_behaviour(m, *snap))
-            sigs.append(_guesses(m, snap, depth=7))
-        assert len(set(keys)) < len(keys)
-        assert len(set(keys)) == len(set(sigs)) == len(set(zip(keys, sigs)))
+    def test_python_int_counts_agree_with_int64(self):
+        # 2**100 consistent pairs take the pass past int64; 4 pairs do not.
+        # All pairs of a constant target are alike, and 2-state candidates
+        # end up in the same state after 2 or 100 zeros.
+        target = constant_machine(0)
+        long = search_after_training([target], 2, Bits(0, 100), 5, top_n=256)
+        short = search_after_training([target], 2, Bits(0, 2), 5, top_n=256)
+        assert len({score for _, score in short.leaderboard}) > 1
+        assert long.leaderboard == short.leaderboard
 
 
 class TestPruning:
-    def test_bound_stops_only_when_exceeded(self, alt_ring):
-        pred = AutomatonPredictor(MealyMachine(1, ((0, 0),), ((0, 1),)))
-        start = {alt_ring.initial_state: 1}
-        total = _frontier_totals(alt_ring, pred, 8, start)[0]
-        assert _frontier_totals(alt_ring, pred, 8, start, total)[0] == total
-        assert _frontier_totals(alt_ring, pred, 8, start, total - 1) is None
-        assert pred.snapshot() == _primed(pred.machine)
-
     def test_full_leaderboard_matches_double_sum(self):
         rng = random.Random(43)
         for _ in range(4):
@@ -223,6 +206,19 @@ class TestPruning:
                     for target in targets
                 ) / len(targets)
                 assert score == expected, machine
+
+    def test_k3_leaderboard_crosses_chunks_in_order(self, alt_ring):
+        # k=3 candidates span several table chunks; the carried leaderboard
+        # must equal one stable sort of every candidate in serialization order
+        full = search_best_predictor([alt_ring], 3, 3, top_n=30000)
+        assert len(full.leaderboard) == full.evaluated == 23400
+        keyed = [(score, serialize_machine(m)) for m, score in full.leaderboard]
+        assert keyed == sorted(keyed)
+        assert {m for m, _ in full.leaderboard} == set(enumerate_machines(3, "canonical"))
+        for machine, score in random.Random(59).sample(full.leaderboard, 20):
+            assert evaluate_exhaustive(alt_ring, AutomatonPredictor(machine), 3).e_ave == score
+        for n in (1, 7):
+            assert search_best_predictor([alt_ring], 3, 3, top_n=n).leaderboard == full.leaderboard[:n]
 
     @pytest.mark.parametrize("case", ["echo", "two_targets", "after_training"])
     def test_short_leaderboard_is_prefix_of_full(self, case, alt_ring):
