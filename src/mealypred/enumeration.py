@@ -26,7 +26,8 @@ RAW_K_CAP = 3
 CANONICAL_K_CAP = 4
 CHUNK_ROWS = 1 << 13  # most raw rows per table chunk: k=3 spans 6 chunks, k=4 spans 4,096
 
-_MODES = ("raw", "canonical", "strongly_connected")
+_TABLE_MODES = ("raw", "canonical")
+_MODES = _TABLE_MODES + ("strongly_connected",)
 
 
 def raw_machine_count(k: int) -> int:
@@ -142,12 +143,11 @@ def machine_tables(
     Row i of the raw list holds the base-2k digits of i, one slot code
     ``2 * next + out`` per (state, input) slot, so rows come in serialization
     order. Each chunk fixes the leading slots and runs through every choice of
-    the trailing ones, at most ``CHUNK_ROWS`` rows. Modes other than ``raw``
-    keep the rows that are least among their relabelings; ``strongly_connected``
-    is filtered further by :func:`enumerate_machines`.
+    the trailing ones, at most ``CHUNK_ROWS`` rows. ``mode`` is ``raw``, or
+    ``canonical`` for the rows that are least among their relabelings.
     """
-    if mode not in _MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
+    if mode not in _TABLE_MODES:
+        raise ValueError(f"unknown table mode {mode!r}; expected one of {_TABLE_MODES}")
     if k < 1:
         raise ValueError("state count must be positive")
     cap = max_raw_states if mode == "raw" else max_canonical_states
@@ -186,8 +186,11 @@ def enumerate_machines(
     Predictor search scores the same :func:`machine_tables` chunks and breaks
     score ties toward the least serialization by a stable sort in this order.
     """
+    if mode not in _MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
     tables = machine_tables(
-        k, mode, max_raw_states=max_raw_states, max_canonical_states=max_canonical_states
+        k, "raw" if mode == "raw" else "canonical",
+        max_raw_states=max_raw_states, max_canonical_states=max_canonical_states,
     )
     for nxt, out in tables:
         for trans, outs in zip(nxt.tolist(), out.tolist()):
@@ -200,6 +203,6 @@ def enumerate_machines(
 def count_machines(k: int, mode: str = "raw", **caps) -> int:
     """Exact count of machines yielded by :func:`enumerate_machines`; the raw
     and canonical counts are the row counts of :func:`machine_tables`."""
-    if mode == "strongly_connected":
-        return sum(1 for _ in enumerate_machines(k, mode, **caps))
-    return sum(len(nxt) for nxt, _ in machine_tables(k, mode, **caps))
+    if mode in _TABLE_MODES:
+        return sum(len(nxt) for nxt, _ in machine_tables(k, mode, **caps))
+    return sum(1 for _ in enumerate_machines(k, mode, **caps))

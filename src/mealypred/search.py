@@ -7,13 +7,14 @@ candidate, and the best exact scorer against the target machines wins.
 
 The candidates arrive as integer ``(next, out)`` tables from
 :func:`~mealypred.enumeration.machine_tables`, a chunk at a time, and every
-candidate of a chunk is scored at once. The targets are read as one
-disjoint union, and the pass keeps, per candidate, the number of input
-sequences in each (candidate state, pending guess, target state) triple:
-the merged frontier the exact engine builds for an automaton predictor,
-advanced for the whole chunk by a few array operations per depth. A
-leaderboard of the best rows is carried from chunk to chunk, and only its
-rows become :class:`MealyMachine` objects.
+candidate of a chunk is scored at once (against large targets, in smaller
+batches that bound the memory). The targets are read as one disjoint
+union, and the pass keeps, per candidate, the number of input sequences in
+each (candidate state, pending guess, target state) triple: the merged
+frontier the exact engine builds for an automaton predictor, advanced for
+the whole batch by a few array operations per depth. A leaderboard of the
+best rows is carried from batch to batch, and only its rows become
+:class:`MealyMachine` objects.
 """
 
 from __future__ import annotations
@@ -26,14 +27,13 @@ from typing import Sequence
 import numpy as np
 
 from .automaton import Bits, MealyMachine, machine_id, serialize_machine
-from .enumeration import CANONICAL_K_CAP, machine_tables
+from .enumeration import CANONICAL_K_CAP, CHUNK_ROWS, machine_tables
 from .evaluation import (
     EXHAUSTIVE_T_CAP,
     CapExceeded,
     InconsistentTrainingData,
     consistency_profile,
 )
-from .predictors import OutputTransitionMatrices
 
 log = logging.getLogger(__name__)
 
@@ -87,58 +87,75 @@ def _search(
     Each target starts from its ``starts`` entry, the number of input
     sequences per generator state, and a candidate's score is its total
     error over ``denom``. Candidates arrive in serialization order and
-    each chunk is merged into the carried leaderboard by a stable sort on
+    each batch is merged into the carried leaderboard by a stable sort on
     the exact totals, so ties break toward the least machine.
     """
     k, size = num_states, max(1, top_n)
     start = [st.get(s, 0) for m, st in zip(targets, starts) for s in range(m.num_states)]
-    # Counts at depth d sum to sum(start) * 2**d and a total is at most
-    # t * sum(start) * 2**t, so int64 is exact below this bound; above it
-    # the counts are Python integers in object arrays.
-    dtype = np.int64 if (sum(start) * t) << (t + 1) < 1 << 63 else object
     g = len(start)
-    moves = np.zeros((g, 2, g), dtype=dtype)  # [state, emitted bit, next state], block-diagonal
-    at = 0
-    for m in targets:
-        mats = OutputTransitionMatrices.from_machine(m)
-        block = slice(at, at + m.num_states)
-        moves[block, 0, block], moves[block, 1, block] = mats.m0, mats.m1
-        at += m.num_states
-    # a pending guess p misses on the target's inputs that emit 1 - p
-    weights = np.tile(moves.sum(axis=2)[:, ::-1].T.ravel(), k)
-    moves = moves.reshape(g, 2 * g)
-    start = np.array(start, dtype=dtype)
-    board = np.zeros(0, dtype=dtype)
+    # Counts at depth d sum to sum(start) * 2**d and a total is at most
+    # t * sum(start) * 2**t, so int64 is exact below this bound. Above it the
+    # start vector is cut into rows of base-2**w digits (a row sums to below
+    # g * 2**w), which are scored side by side, since counts are linear in
+    # it; past t = 55 or so no w fits, and the counts are Python integers.
+    r, w = 1, max(start).bit_length()
+    dtype = np.int64 if (sum(start) * t) << (t + 1) < 1 << 63 else object
+    width = 63 - (g * t << (t + 1)).bit_length()
+    if dtype is object and width > 0:
+        dtype, r, w = np.int64, -(-w // width), width
+    digits = np.array([[x >> w * j & (1 << w) - 1 for x in start] for j in range(r)], dtype=dtype)
+    # The targets as one disjoint union of g states: input i in state x
+    # emits bit o and moves to state y, dest[x, i] = o * g + y.
+    offsets = np.cumsum([0] + [m.num_states for m in targets])
+    dest = np.array([[m.output[x][i] * g + at + m.transition[x][i] for i in (0, 1)]
+                     for m, at in zip(targets, offsets) for x in range(m.num_states)])
+    # a pending guess p misses on the inputs that emit 1 - p
+    emits_one = (dest >= g).sum(axis=1)
+    weights = np.tile(np.concatenate([emits_one, 2 - emits_one]), k).astype(dtype)
+    # the (x, i) entries grouped by destination, so one reduceat sums each group
+    order = np.argsort(dest.ravel(), kind="stable")
+    dests, first = np.unique(dest.ravel()[order], return_index=True)
+    source = order // 2
+    board = np.zeros(0, dtype=dtype if r == 1 else object)
     board_next = board_out = np.zeros((0, k, 2), dtype=np.intp)
-    space = chunks = 0
-    for nxt, out in machine_tables(k, "canonical", max_canonical_states=max_canonical_states):
+    # rows scored at once: the counts of a batch take at most 2k * 2**17 cells
+    batch = max(1, (CHUNK_ROWS << 4) // (r * g))
+    tables = machine_tables(k, "canonical", max_canonical_states=max_canonical_states)
+    pieces = ((nxt[i:i + batch], out[i:i + batch]) for nxt, out in tables
+              for i in range(0, len(nxt), batch))
+    space = batches = 0
+    for nxt, out in pieces:
         n = len(nxt)
         rows = np.arange(n)
-        # counts[c, 2 * s + p, x]: input sequences that leave candidate c in
-        # state s with pending guess p and the targets in state x. Observing
-        # o in state s moves candidate c to code 2 * next + out of slot
-        # (s, o): step[c] has a 1 at [code, 2 * s + o].
-        step = np.zeros((n, 2 * k, 2 * k), dtype=dtype)
-        step[rows[:, None], (2 * nxt + out).reshape(n, 2 * k), np.arange(2 * k)] = 1
+        # counts[c, j, 2 * s + p, x]: input sequences of digit row j that
+        # leave candidate c in state s with pending guess p and the targets
+        # in state x. Observing o in state s moves candidate c to code
+        # 2 * next + out of slot (s, o): step[c] has a 1 at [code, 2 * s + o].
+        step = np.zeros((n, 1, 2 * k, 2 * k), dtype=dtype)
+        step[rows[:, None], 0, (2 * nxt + out).reshape(n, 2 * k), np.arange(2 * k)] = 1
         state, pending = nxt[:, 0, 0], out[:, 0, 0]  # primed by a virtual 0
         for bit in training:
             state, pending = nxt[rows, state, bit], out[rows, state, bit]
-        counts = np.zeros((n, 2 * k, g), dtype=dtype)
-        counts[rows, 2 * state + pending] = start
-        total = np.zeros(n, dtype=dtype)
+        counts = np.zeros((n, r, 2 * k, g), dtype=dtype)
+        counts[rows, :, 2 * state + pending] = digits
+        total = np.zeros((n, r), dtype=dtype)
         for _ in range(t):
             # an error at depth d stands for 2**(t - d - 1) completions
-            total = 2 * total + counts.reshape(n, 2 * k * g) @ weights
-            mass = counts[:, 0::2] + counts[:, 1::2]
-            counts = step @ (mass @ moves).reshape(n, 2 * k, g)
-        board = np.concatenate([board, total])
+            total = 2 * total + counts.reshape(n, r, 2 * k * g) @ weights
+            mass = counts[:, :, 0::2] + counts[:, :, 1::2]
+            moved = np.zeros((n, r, k, 2 * g), dtype=dtype)
+            moved[..., dests] = np.add.reduceat(mass[..., source], first, axis=-1)
+            counts = step @ moved.reshape(n, r, 2 * k, g)
+        if r > 1:
+            total = sum(total[:, j].astype(object) << w * j for j in range(r))
+        board = np.concatenate([board, total.reshape(n)])
         keep = np.argsort(board, kind="stable")[:size]
         board = board[keep]
         board_next = np.concatenate([board_next, nxt])[keep]
         board_out = np.concatenate([board_out, out])[keep]
         space += n
-        chunks += 1
-    log.debug("%d candidates scored, table chunks: %d", space, chunks)
+        batches += 1
+    log.debug("%d candidates scored, batches: %d", space, batches)
     leaderboard = tuple(
         (MealyMachine(k, trans, outs, 0), Fraction(total, denom))
         for trans, outs, total in zip(board_next.tolist(), board_out.tolist(), board.tolist())

@@ -360,7 +360,7 @@ class TestReproducibility:
         assert quiet.read_bytes() == loud.read_bytes()
         assert plain.stderr == ""
         assert verbose.stderr.splitlines() == [
-            "mealypred.search: 256 candidates scored, table chunks: 1"
+            "mealypred.search: 256 candidates scored, batches: 1"
         ]
         assert not logging.getLogger("mealypred").handlers
 

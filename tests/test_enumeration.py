@@ -21,6 +21,7 @@ from mealypred import (
     relabel,
     serialize_machine,
 )
+from mealypred.enumeration import machine_tables
 from mealypred.machines import random_machine, ring_machine
 
 
@@ -50,6 +51,13 @@ class TestCounts:
             list(enumerate_machines(4, "raw"))
         with pytest.raises(CapExceeded):
             list(enumerate_machines(5, "canonical"))
+        with pytest.raises(CapExceeded):
+            list(enumerate_machines(5, "strongly_connected"))
+
+    def test_tables_list_raw_and_canonical_only(self):
+        # the strongly connected filter belongs to enumerate_machines
+        with pytest.raises(ValueError, match="table mode"):
+            next(machine_tables(2, "strongly_connected"))
 
 
 class TestOrder:

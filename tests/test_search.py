@@ -179,15 +179,27 @@ class TestAfterTraining:
                 kept = sum(n for _, n in sums)
                 assert score == Fraction(misses, c * kept), machine
 
-    def test_python_int_counts_agree_with_int64(self):
-        # 2**100 consistent pairs take the pass past int64; 4 pairs do not.
-        # All pairs of a constant target are alike, and 2-state candidates
-        # end up in the same state after 2 or 100 zeros.
+    def test_digit_rows_agree_with_one_row(self):
+        # 2**100 consistent pairs take the counts past int64, so the start
+        # vector is scored as rows of digits; 4 pairs fit in one row. All
+        # pairs of a constant target are alike, and 2-state candidates end
+        # up in the same state after 2 or 100 zeros.
         target = constant_machine(0)
         long = search_after_training([target], 2, Bits(0, 100), 5, top_n=256)
         short = search_after_training([target], 2, Bits(0, 2), 5, top_n=256)
         assert len({score for _, score in short.leaderboard}) > 1
         assert long.leaderboard == short.leaderboard
+
+    def test_python_int_counts_at_long_continuation(self):
+        # at continuation 60 no digit width keeps int64 exact. A constant-0
+        # target emits 0 whatever its input, so a candidate's score is the
+        # share of 1-guesses it makes while reading zeros.
+        c = 60
+        res = search_after_training([constant_machine(0)], 2, Bits(0, 3), c, top_n=256)
+        assert len({score for _, score in res.leaderboard}) > 2
+        for machine, score in res.leaderboard:
+            predict = _guess_function(machine)
+            assert score == Fraction(sum(predict((0,) * (3 + i)) for i in range(c)), c)
 
 
 class TestPruning:
@@ -207,18 +219,22 @@ class TestPruning:
                 ) / len(targets)
                 assert score == expected, machine
 
-    def test_k3_leaderboard_crosses_chunks_in_order(self, alt_ring):
-        # k=3 candidates span several table chunks; the carried leaderboard
-        # must equal one stable sort of every candidate in serialization order
-        full = search_best_predictor([alt_ring], 3, 3, top_n=30000)
+    @pytest.mark.parametrize("states", [2, 40])
+    def test_k3_leaderboard_crosses_chunks_in_order(self, states, alt_ring):
+        # k=3 candidates span several table chunks, and against 40 target
+        # states each chunk is scored in several batches; the carried
+        # leaderboard must equal one stable sort of every candidate in
+        # serialization order
+        target = alt_ring if states == 2 else random_machine(states, random.Random(61))
+        full = search_best_predictor([target], 3, 3, top_n=30000)
         assert len(full.leaderboard) == full.evaluated == 23400
         keyed = [(score, serialize_machine(m)) for m, score in full.leaderboard]
         assert keyed == sorted(keyed)
         assert {m for m, _ in full.leaderboard} == set(enumerate_machines(3, "canonical"))
         for machine, score in random.Random(59).sample(full.leaderboard, 20):
-            assert evaluate_exhaustive(alt_ring, AutomatonPredictor(machine), 3).e_ave == score
+            assert evaluate_exhaustive(target, AutomatonPredictor(machine), 3).e_ave == score
         for n in (1, 7):
-            assert search_best_predictor([alt_ring], 3, 3, top_n=n).leaderboard == full.leaderboard[:n]
+            assert search_best_predictor([target], 3, 3, top_n=n).leaderboard == full.leaderboard[:n]
 
     @pytest.mark.parametrize("case", ["echo", "two_targets", "after_training"])
     def test_short_leaderboard_is_prefix_of_full(self, case, alt_ring):
