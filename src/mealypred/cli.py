@@ -274,7 +274,7 @@ def _exec_enumerate(config: dict) -> dict:
 
 def _exec_search(config: dict) -> dict:
     targets = [_load_machine(p) for p in config["targets"]]
-    if config.get("after_training"):
+    if "after_training" in config:
         result = search_after_training(
             targets,
             config["k"],

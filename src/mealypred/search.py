@@ -9,10 +9,12 @@ The candidates arrive as integer ``(next, out)`` tables from
 :func:`~mealypred.enumeration.machine_tables`, a chunk at a time, and every
 candidate of a chunk is scored at once (against large targets, in smaller
 batches that bound the memory). The targets are read as one disjoint
-union, and the pass keeps, per candidate, the number of input sequences in
-each (candidate state, pending guess, target state) triple: the merged
-frontier the exact engine builds for an automaton predictor, advanced for
-the whole batch by a few array operations per depth. A leaderboard of the
+union. The pass works backward from the horizon: a candidate's value at a
+(candidate state, pending guess, target state) triple is its error summed
+over every continuation from there, and one gather per depth advances the
+values of the whole batch. They do not depend on where the targets start,
+so a candidate's total is one dot product of the start vector with its
+values at its post-training state and pending guess. A leaderboard of the
 best rows is carried from batch to batch, and only its rows become
 :class:`MealyMachine` objects.
 """
@@ -27,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .automaton import Bits, MealyMachine, machine_id, serialize_machine
-from .enumeration import CANONICAL_K_CAP, CHUNK_ROWS, machine_tables
+from .enumeration import CHUNK_ROWS, machine_tables
 from .evaluation import (
     EXHAUSTIVE_T_CAP,
     CapExceeded,
@@ -80,76 +82,60 @@ def _search(
     t: int,
     denom: int,
     top_n: int,
-    max_canonical_states: int,
 ) -> SearchResult:
     """Rank the canonical candidates once ``training`` has been fed to each.
 
     Each target starts from its ``starts`` entry, the number of input
     sequences per generator state, and a candidate's score is its total
-    error over ``denom``. Candidates arrive in serialization order and
-    each batch is merged into the carried leaderboard by a stable sort on
-    the exact totals, so ties break toward the least machine.
+    error over ``denom``: the dot product of the start vector with the
+    candidate's backward values at its post-training state and pending
+    guess. Candidates arrive in serialization order and each batch is merged
+    into the carried leaderboard by a stable sort on the exact totals, so
+    ties break toward the least machine.
     """
-    k, size = num_states, max(1, top_n)
+    k = num_states
     start = [st.get(s, 0) for m, st in zip(targets, starts) for s in range(m.num_states)]
     g = len(start)
-    # Counts at depth d sum to sum(start) * 2**d and a total is at most
-    # t * sum(start) * 2**t, so int64 is exact below this bound. Above it the
-    # start vector is cut into rows of base-2**w digits (a row sums to below
-    # g * 2**w), which are scored side by side, since counts are linear in
-    # it; past t = 55 or so no w fits, and the counts are Python integers.
-    r, w = 1, max(start).bit_length()
-    dtype = np.int64 if (sum(start) * t) << (t + 1) < 1 << 63 else object
-    width = 63 - (g * t << (t + 1)).bit_length()
-    if dtype is object and width > 0:
-        dtype, r, w = np.int64, -(-w // width), width
-    digits = np.array([[x >> w * j & (1 << w) - 1 for x in start] for j in range(r)], dtype=dtype)
+    # A value is at most t * 2**t and a total at most sum(start) times that;
+    # each is held in int64 while its bound fits and in Python integers past it.
+    dtype = np.int64 if t << t < 1 << 63 else object
+    weights = np.array(start, dtype=np.int64 if sum(start) * t << t < 1 << 63 else object)
     # The targets as one disjoint union of g states: input i in state x
-    # emits bit o and moves to state y, dest[x, i] = o * g + y.
+    # emits bit emit[x, i] and moves to state succ[x, i].
     offsets = np.cumsum([0] + [m.num_states for m in targets])
-    dest = np.array([[m.output[x][i] * g + at + m.transition[x][i] for i in (0, 1)]
+    emit = np.array([m.output[x] for m in targets for x in range(m.num_states)])
+    succ = np.array([[at + y for y in m.transition[x]]
                      for m, at in zip(targets, offsets) for x in range(m.num_states)])
-    # a pending guess p misses on the inputs that emit 1 - p
-    emits_one = (dest >= g).sum(axis=1)
-    weights = np.tile(np.concatenate([emits_one, 2 - emits_one]), k).astype(dtype)
-    # the (x, i) entries grouped by destination, so one reduceat sums each group
-    order = np.argsort(dest.ravel(), kind="stable")
-    dests, first = np.unique(dest.ravel()[order], return_index=True)
-    source = order // 2
-    board = np.zeros(0, dtype=dtype if r == 1 else object)
+    # miss[p, x]: the inputs on which a pending guess p misses in state x
+    emits_one = emit.sum(axis=1)
+    miss = np.array([emits_one, 2 - emits_one]).astype(dtype)
+    board = np.zeros(0, dtype=weights.dtype)
     board_next = board_out = np.zeros((0, k, 2), dtype=np.intp)
-    # rows scored at once: the counts of a batch take at most 2k * 2**17 cells
-    batch = max(1, (CHUNK_ROWS << 4) // (r * g))
-    tables = machine_tables(k, "canonical", max_canonical_states=max_canonical_states)
+    # rows scored at once: the values of a batch take at most 2k * 2**17 cells
+    batch = max(1, (CHUNK_ROWS << 4) // g)
+    tables = machine_tables(k, "canonical")
     pieces = ((nxt[i:i + batch], out[i:i + batch]) for nxt, out in tables
               for i in range(0, len(nxt), batch))
     space = batches = 0
     for nxt, out in pieces:
         n = len(nxt)
         rows = np.arange(n)
-        # counts[c, j, 2 * s + p, x]: input sequences of digit row j that
-        # leave candidate c in state s with pending guess p and the targets
-        # in state x. Observing o in state s moves candidate c to code
-        # 2 * next + out of slot (s, o): step[c] has a 1 at [code, 2 * s + o].
-        step = np.zeros((n, 1, 2 * k, 2 * k), dtype=dtype)
-        step[rows[:, None], 0, (2 * nxt + out).reshape(n, 2 * k), np.arange(2 * k)] = 1
+        # values[c, s, p, x]: the errors of candidate c summed over every
+        # continuation of the remaining length from its state s, pending
+        # guess p and the targets in state x. Input i in state x moves c
+        # to (next, out) of its slot (s, emit[x, i]) and the targets to
+        # succ[x, i]; idx[c, s, x, i] is that cell's flat index.
+        idx = ((rows[:, None, None, None] * k + nxt[:, :, emit]) * 2 + out[:, :, emit]) * g + succ
+        values = np.zeros((n, k, 2, g), dtype=dtype)
+        for u in range(t):
+            # an error with u more steps to go stands for 2**u completions
+            values = values.reshape(-1)[idx].sum(axis=-1)[:, :, None] + (miss << u)
         state, pending = nxt[:, 0, 0], out[:, 0, 0]  # primed by a virtual 0
         for bit in training:
             state, pending = nxt[rows, state, bit], out[rows, state, bit]
-        counts = np.zeros((n, r, 2 * k, g), dtype=dtype)
-        counts[rows, :, 2 * state + pending] = digits
-        total = np.zeros((n, r), dtype=dtype)
-        for _ in range(t):
-            # an error at depth d stands for 2**(t - d - 1) completions
-            total = 2 * total + counts.reshape(n, r, 2 * k * g) @ weights
-            mass = counts[:, :, 0::2] + counts[:, :, 1::2]
-            moved = np.zeros((n, r, k, 2 * g), dtype=dtype)
-            moved[..., dests] = np.add.reduceat(mass[..., source], first, axis=-1)
-            counts = step @ moved.reshape(n, r, 2 * k, g)
-        if r > 1:
-            total = sum(total[:, j].astype(object) << w * j for j in range(r))
-        board = np.concatenate([board, total.reshape(n)])
-        keep = np.argsort(board, kind="stable")[:size]
+        total = values[rows, state, pending] @ weights
+        board = np.concatenate([board, total])
+        keep = np.argsort(board, kind="stable")[:top_n]
         board = board[keep]
         board_next = np.concatenate([board_next, nxt])[keep]
         board_out = np.concatenate([board_out, out])[keep]
@@ -180,7 +166,6 @@ def search_best_predictor(
     *,
     top_n: int = 10,
     cap: int = EXHAUSTIVE_T_CAP,
-    max_canonical_states: int = CANONICAL_K_CAP,
 ) -> SearchResult:
     """Best canonical ``num_states``-state predicting automaton for the targets.
 
@@ -193,13 +178,13 @@ def search_best_predictor(
         raise ValueError("at least one target machine is required")
     if t < 1:
         raise ValueError("horizon must be at least 1")
+    if top_n < 1:
+        raise ValueError("leaderboard size must be at least 1")
     if t > cap:
         raise CapExceeded(f"horizon {t} exceeds the exhaustive cap of {cap}")
     starts = [{m.initial_state: 1} for m in targets]
     denom = len(targets) * t * (1 << t)
-    return _search(
-        targets, starts, (), num_states, t, denom, top_n, max_canonical_states
-    )
+    return _search(targets, starts, (), num_states, t, denom, top_n)
 
 
 def search_after_training(
@@ -209,7 +194,6 @@ def search_after_training(
     continuation: int,
     *,
     top_n: int = 10,
-    max_canonical_states: int = CANONICAL_K_CAP,
 ) -> SearchResult:
     """Best predicting automaton for continuations of observed training data.
 
@@ -223,6 +207,8 @@ def search_after_training(
         raise ValueError("at least one target machine is required")
     if continuation < 1:
         raise ValueError("continuation length must be at least 1")
+    if top_n < 1:
+        raise ValueError("leaderboard size must be at least 1")
     profiles = [consistency_profile(m, training) for m in targets]
     pair_total = sum(sum(p) for p in profiles)
     if pair_total == 0:
@@ -231,7 +217,4 @@ def search_after_training(
         )
     starts = [dict(enumerate(p)) for p in profiles]
     denom = pair_total * continuation * (1 << continuation)
-    return _search(
-        targets, starts, training, num_states, continuation, denom, top_n,
-        max_canonical_states,
-    )
+    return _search(targets, starts, training, num_states, continuation, denom, top_n)

@@ -173,6 +173,8 @@ class TestExitCodes:
         (["enumerate", "-k", "1", "--out", "{tmp}/no/dir.txt"], 2),
         (["evaluate", "-m", "{echo}", "-t", "1000", "--method", "monte-carlo",
           "--samples", "1000000000"], 3),
+        (["search", "--target", "{echo}", "-k", "1", "--top", "0"], 2),
+        (["search", "--target", "{echo}", "-k", "1", "--top", "-3"], 2),
     ])
     def test_failure_exits_with_its_code(self, runner, files, tmp_path, monkeypatch, args, code):
         def too_big(*_args, **_kwargs):
@@ -246,6 +248,24 @@ class TestSearchCmd:
         )
         assert report["result"]["best_score_float"] <= 0.125
         assert "mealy 2" in report["result"]["best_machine"]
+
+    @pytest.mark.parametrize("training", ["", "@{tmp}/empty.txt"])
+    def test_empty_training_scores_continuations(self, runner, files, tmp_path, training):
+        # no training bits leave every target at its initial state, so the
+        # continuations are a plain search at their length
+        (tmp_path / "empty.txt").write_text("")
+        args = ["search", "--target", files["demo8"], "-k", "2", "-t", "5",
+                "--after-training", training.format(tmp=tmp_path), "--continuation", "3"]
+        first = runner.invoke(main, args + ["--format", "json"])
+        assert first.exit_code == 0, first.output
+        report = json.loads(first.output)
+        plain = run_json(runner, ["search", "--target", files["demo8"], "-k", "2", "-t", "3"])
+        assert report["config"]["after_training"] == ""
+        assert report["result"] == plain["result"]
+        path = tmp_path / "report.json"
+        path.write_text(first.output)
+        replayed = runner.invoke(main, ["replay", str(path), "--format", "json"])
+        assert replayed.output == first.output
 
 
 class TestReproducibility:

@@ -180,10 +180,10 @@ class TestAfterTraining:
                 assert score == Fraction(misses, c * kept), machine
 
     def test_digit_rows_agree_with_one_row(self):
-        # 2**100 consistent pairs take the counts past int64, so the start
-        # vector is scored as rows of digits; 4 pairs fit in one row. All
-        # pairs of a constant target are alike, and 2-state candidates end
-        # up in the same state after 2 or 100 zeros.
+        # 2**100 consistent pairs take the totals past int64, so the start
+        # vector enters the final dot product as Python integers; 4 pairs
+        # keep it in int64. All pairs of a constant target are alike, and
+        # 2-state candidates end up in the same state after 2 or 100 zeros.
         target = constant_machine(0)
         long = search_after_training([target], 2, Bits(0, 100), 5, top_n=256)
         short = search_after_training([target], 2, Bits(0, 2), 5, top_n=256)
@@ -191,15 +191,25 @@ class TestAfterTraining:
         assert long.leaderboard == short.leaderboard
 
     def test_python_int_counts_at_long_continuation(self):
-        # at continuation 60 no digit width keeps int64 exact. A constant-0
-        # target emits 0 whatever its input, so a candidate's score is the
-        # share of 1-guesses it makes while reading zeros.
-        c = 60
-        res = search_after_training([constant_machine(0)], 2, Bits(0, 3), c, top_n=256)
-        assert len({score for _, score in res.leaderboard}) > 2
-        for machine, score in res.leaderboard:
-            predict = _guess_function(machine)
-            assert score == Fraction(sum(predict((0,) * (3 + i)) for i in range(c)), c)
+        # at continuation 60 the backward values outgrow int64 and are
+        # Python integers. A constant-0 target emits 0 whatever its input,
+        # so a candidate's score is the share of 1-guesses it makes while
+        # reading zeros.
+        _check_scores_while_reading_zeros(60)
+
+    @pytest.mark.parametrize("c", [55, 56, 57, 58])
+    def test_counts_exact_across_the_int64_bound(self, c):
+        # the backward values reach c * 2**c, which int64 holds up to
+        # continuation 57; from 58 on they are Python integers
+        _check_scores_while_reading_zeros(c)
+
+
+def _check_scores_while_reading_zeros(c):
+    res = search_after_training([constant_machine(0)], 2, Bits(0, 3), c, top_n=256)
+    assert len({score for _, score in res.leaderboard}) > 2
+    for machine, score in res.leaderboard:
+        predict = _guess_function(machine)
+        assert score == Fraction(sum(predict((0,) * (3 + i)) for i in range(c)), c)
 
 
 class TestPruning:
