@@ -13,12 +13,13 @@ prefix's consistency profile, scores batch continuations. It needs only the
 
 Monte Carlo estimates sample input sequences and run every built-in
 predictor through a vectorized numpy sweep at any horizon. Consistency and
-ensemble predictors share one count kernel, whose counts turn into exact
-Python integers at the depth where int64 could overflow. The finite-state
-predictors (known-state, constant, automaton) run beside the generator as
-one product machine on input bits, built once by walking their snapshots,
-so each step costs two table lookups. Only a predictor from outside the
-package goes through a per-sequence loop.
+ensemble predictors share one count kernel. Its int64 count rows are divided
+by their gcd, which changes no guess, whenever they could overflow, and turn
+into exact Python integers only if the normalised rows outgrow int64. The
+finite-state predictors (known-state, constant, automaton) run beside the
+generator as one product machine on input bits, built once by walking their
+snapshots, so each step costs two table lookups. Only a predictor from
+outside the package goes through a per-sequence loop.
 
 Predictors whose machine model is contradicted by an observation are scored
 leniently here: a dead model keeps emitting the tie-rule 0. This makes
@@ -127,33 +128,38 @@ def _lenient(predictor: Predictor):
 
 def _sweep_consistency(machine: MealyMachine, predictor: ConsistencyPredictor, bits: np.ndarray) -> tuple[int, int, list[int]]:
     """Count kernel: the consistency counts of every sample, one row each."""
-    ttrans = np.asarray(machine.transition, dtype=np.int64)
-    tout = np.asarray(machine.output, dtype=np.int64)
     m0 = np.asarray(predictor.matrices.m0, dtype=np.int64)
     m1 = np.asarray(predictor.matrices.m1, dtype=np.int64)
-    deg0 = m0.sum(axis=1)
-    deg1 = m1.sum(axis=1)
+    lean = m1.sum(axis=1) - m0.sum(axis=1)  # a row guesses 1 where counts @ lean > 0
+    succ = 2 * np.asarray(machine.transition, dtype=np.int64).ravel()
+    out = np.asarray(machine.output, dtype=bool).ravel()
     start = predictor.snapshot()
-    # Every count at depth i, and every count times a degree, is at most
-    # sum(start) * 2**(i + 1); from the first depth where that can reach
-    # 2**63 the counts are exact Python integers instead of int64.
-    widen_at = 63 - sum(start).bit_length()
     n, t = bits.shape
     counts = np.tile(np.asarray(start, dtype=np.int64), (n, 1))
-    states = np.full(n, machine.initial_state, dtype=np.int64)
+    at = np.full(n, 2 * machine.initial_state, dtype=np.int64)  # 2 * generator state
     seq_err = np.zeros(n, dtype=np.int64)
     step_totals = []
+    # Counts are non-negative and out-degrees at most 2, so if every row sum
+    # is at most ``bound``, every entry and partial sum of counts @ m0, @ m1
+    # and @ lean is at most 2 * bound, as is every next row sum: a step is
+    # exact in int64 while bound < 2**62. A guess compares counts of one row
+    # and the update is linear, so there each row is divided by its gcd (an
+    # all-zero row by 1); only rows that still do not fit widen to Python ints.
+    bound = sum(start)
     for i in range(t):
-        if i == widen_at:
-            counts = counts.astype(object)
-        b = bits[:, i].astype(np.int64)
-        pred = (counts @ deg0 < counts @ deg1).astype(np.int64)
-        o = tout[states, b]
-        e = pred != o
+        if bound >= 1 << 62 and counts.dtype != object:
+            counts //= np.maximum(np.gcd.reduce(counts, axis=1), 1)[:, None]
+            bound = int(counts.sum(axis=1).max())
+            if bound >= 1 << 62:
+                counts = counts.astype(object)
+        at += bits[:, i]
+        o = out[at]
+        e = (counts @ lean > 0) != o
         seq_err += e
-        step_totals.append(int(e.sum()))
-        states = ttrans[states, b]
-        counts = np.where((o == 1)[:, None], counts @ m1, counts @ m0)
+        step_totals.append(int(np.count_nonzero(e)))
+        at = succ[at]
+        counts = np.where(o[:, None], counts @ m1, counts @ m0)
+        bound *= 2
     return int(seq_err.sum()), int(seq_err.max()), step_totals
 
 
@@ -202,7 +208,7 @@ def _sweep_product(machine: MealyMachine, predictor: Predictor, bits: np.ndarray
     seq_err = np.zeros(n, dtype=np.int64)
     step_totals = []
     for i in range(t):
-        at += bits[:, i].astype(np.int64)
+        at += bits[:, i]
         e = miss[at]
         seq_err += e
         step_totals.append(int(e.sum()))
@@ -377,6 +383,8 @@ def evaluate_monte_carlo(
         raise ValueError("horizon must be at least 1")
     if samples < 1:
         raise ValueError("samples must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     _check_informed(machine, predictor)
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=(samples, t), dtype=np.uint8)

@@ -122,6 +122,15 @@ class TestEvaluate:
         assert report["result"]["seed"] == 5
         assert report["config"]["seed"] == 5
 
+    def test_negative_seed_exit_code(self, runner, files):
+        result = runner.invoke(
+            main,
+            ["evaluate", "-m", files["echo"], "-t", "8", "--method", "monte-carlo",
+             "--samples", "10", "--seed", "-1"],
+        )
+        assert result.exit_code == 2
+        assert "seed" in result.output
+
     def test_cap_exit_code(self, runner, files):
         result = runner.invoke(main, ["evaluate", "-m", files["echo"], "-t", "25"])
         assert result.exit_code == 3

@@ -23,7 +23,15 @@ from mealypred import (
     evaluate_monte_carlo,
 )
 from mealypred.evaluation import _generic_totals, _lenient
-from mealypred.machines import constant_machine, random_machine
+from mealypred.machines import (
+    alternating_ring,
+    biased_unbiased_ring,
+    constant_machine,
+    delay_machine,
+    echo_machine,
+    eight_state_example,
+    random_machine,
+)
 from mealypred.predictors import Predictor
 
 import oracles
@@ -150,16 +158,25 @@ class TestMonteCarlo:
         mc = evaluate_monte_carlo(echo, ConsistencyPredictor(echo), 12, 100_000, seed=0)
         assert abs(mc.e_ave - float(exact.e_ave)) <= 0.01
 
+    @staticmethod
+    def _assert_matches_loop(m, p, t, samples=100, seed=3):
+        """The vectorised sweep against the per-sequence loop on the same bits."""
+        bits = np.random.default_rng(seed).integers(0, 2, size=(samples, t), dtype=np.uint8)
+        packed = [sum(int(b) << i for i, b in enumerate(row)) for row in bits]
+        fast = evaluate_monte_carlo(m, p, t, samples, seed, per_step=True)
+        with _lenient(p):
+            total, wc, step = _generic_totals(m, p, t, packed)
+        assert fast.e_ave == total / (t * samples)
+        assert fast.e_wc == wc / t
+        assert fast.per_step_errors == tuple(c / samples for c in step)
+
     def test_generic_and_vector_paths_agree(self):
         # The count kernel and the product sweep against the per-sequence
-        # loop on the same sampled bits. At t = 70 the kernel's counts pass
-        # int64 and turn exact; the constant machine's counts double every
-        # step, so they do get there.
+        # loop. At t = 70 the kernel's rows reach its int64 bound and are
+        # divided by their gcd; the constant machine's counts double every
+        # step, so its rows fall back to 1 there and never widen.
         rng = random.Random(6)
-        samples, seed = 100, 3
         for t in (9, 70):
-            bits = np.random.default_rng(seed).integers(0, 2, size=(samples, t), dtype=np.uint8)
-            packed = [sum(int(b) << i for i, b in enumerate(row)) for row in bits]
             for m in [constant_machine(0)] + [random_machine(rng.randint(1, 6), rng) for _ in range(3)]:
                 a, b = random_machine(rng.randint(1, 4), rng), random_machine(2, rng)
                 other = random_machine(m.num_states, rng)
@@ -173,12 +190,22 @@ class TestMonteCarlo:
                     ConstantPredictor(1),
                     AutomatonPredictor(a),
                 ):
-                    fast = evaluate_monte_carlo(m, p, t, samples, seed, per_step=True)
-                    with _lenient(p):
-                        total, wc, step = _generic_totals(m, p, t, packed)
-                    assert fast.e_ave == total / (t * samples)
-                    assert fast.e_wc == wc / t
-                    assert fast.per_step_errors == tuple(c / samples for c in step)
+                    self._assert_matches_loop(m, p, t)
+
+    @pytest.mark.parametrize("machine, predictor, t", [
+        # gcd-normalised rows still pass 2**62 near depth 62, so the
+        # counts widen to Python integers
+        (eight_state_example(), ConsistencyPredictor(eight_state_example()), 70),
+        # normalised rows stay small: three normalisations, all on int64
+        (biased_unbiased_ring(), ConsistencyPredictor(biased_unbiased_ring()), 200),
+        (delay_machine(), EnsemblePredictor([alternating_ring(), echo_machine(), delay_machine()]), 200),
+    ], ids=["widens", "stays-int64", "ensemble-stays-int64"])
+    def test_count_kernel_past_the_int64_bound(self, machine, predictor, t):
+        self._assert_matches_loop(machine, predictor, t)
+
+    def test_negative_seed_refused(self, echo):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            evaluate_monte_carlo(echo, ConsistencyPredictor(echo), 8, 10, seed=-1)
 
     def test_known_state_of_smaller_machine_refused(self):
         rng = random.Random(44)
