@@ -106,6 +106,10 @@ def _machine_entry(path: str, machine: MealyMachine) -> dict:
 
 
 def _build_predictor(kind, machine, predictor_machine, candidates):
+    if candidates and kind != "ensemble":
+        raise click.UsageError(f"--candidates applies only to --predictor ensemble, not {kind}")
+    if predictor_machine is not None and kind in ("always-0", "always-1", "ensemble"):
+        raise click.UsageError(f"--predictor {kind} takes no --predictor-machine")
     if kind == "consistency":
         return ConsistencyPredictor(predictor_machine or machine)
     if kind == "known-state":
@@ -466,7 +470,7 @@ class _Main(click.Group):
 @click.group(cls=_Main)
 @click.version_option(version=__version__, prog_name="mealypred")
 @click.option("-v", "--verbose", is_flag=True, default=False,
-              help="Log debug messages (search counters among them) to stderr.")
+              help="Log debug messages (search and exact-walk counters among them) to stderr.")
 @click.pass_context
 def main(ctx, verbose):
     """Study prediction of bit sequences generated by finite-state machines."""

@@ -1,15 +1,19 @@
 """Error metrics for predictors, exact or sampled, plus batch-mode selection.
 
 The exact evaluators average per-bit prediction error over every input
-sequence of a given length with one engine, a merged-frontier pass. The
-per-state counts of input sequences consistent with the observed output are
-the unnormalized forward vector of the machine read as an edge-emitting HMM,
-and expected error is linear in them. So the engine walks the horizon depth
-by depth, keyed by predictor snapshot, and merges every branch that leaves
-the predictor in an equal state: ``e_ave``, ``e_wc`` and the per-step errors
-come out exact for every predictor. The same pass, started from a training
-prefix's consistency profile, scores batch continuations. It needs only the
-``snapshot``/``restore`` every predictor has, so there is no fallback path.
+sequence of a given length with one engine, a merged-frontier pass. It
+interns each predictor snapshot as an integer node, expanded once: its guess
+per generator state and its child per observed bit. The per-state counts of
+input sequences consistent with the observed output are the unnormalized
+forward vector of the machine read as an edge-emitting HMM, and expected
+error is linear in them. So the engine walks the horizon depth by depth over
+(node, generator state) pairs and merges every branch that reaches an equal
+pair: ``e_ave``, ``e_wc`` and the per-step errors come out exact for every
+predictor. A consistency or ensemble node is keyed by its count vector over
+the vector's gcd, so proportional vectors, which guess alike, share a node.
+The same pass, started from a training prefix's consistency profile, scores
+batch continuations. It needs only the ``snapshot``/``restore`` every
+predictor has, so there is no fallback path.
 
 Monte Carlo estimates sample input sequences and run every built-in
 predictor through a vectorized numpy sweep at any horizon. Consistency and
@@ -17,8 +21,8 @@ ensemble predictors share one count kernel. Its int64 count rows are divided
 by their gcd, which changes no guess, whenever they could overflow, and turn
 into exact Python integers only if the normalised rows outgrow int64. The
 finite-state predictors (known-state, constant, automaton) run beside the
-generator as one product machine on input bits, built once by walking their
-snapshots, so each step costs two table lookups. Only a predictor from
+generator as one product machine on input bits, built once from their
+snapshot nodes, so each step costs two table lookups. Only a predictor from
 outside the package goes through a per-sequence loop.
 
 Predictors whose machine model is contradicted by an observation are scored
@@ -28,9 +32,12 @@ cross-machine scores and batch continuation scores well-defined.
 
 from __future__ import annotations
 
+import logging
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -40,9 +47,12 @@ from .predictors import (
     AutomatonPredictor,
     ConsistencyPredictor,
     ConstantPredictor,
+    EnsemblePredictor,
     KnownStatePredictor,
     Predictor,
 )
+
+log = logging.getLogger(__name__)
 
 EXHAUSTIVE_T_CAP = 24
 PAIR_BUDGET_LOG2 = 26
@@ -166,43 +176,33 @@ def _sweep_consistency(machine: MealyMachine, predictor: ConsistencyPredictor, b
 def _product_machine(machine: MealyMachine, predictor: Predictor) -> tuple[np.ndarray, np.ndarray]:
     """The predictor run beside the generator, as one machine on input bits.
 
-    Nodes are the reachable (predictor snapshot, generator state) pairs,
+    Its nodes are the reachable (snapshot node, generator state) pairs,
     numbered breadth-first from the predictor's current snapshot and the
-    initial state. Returns ``(successor, miss)``, both indexed ``[node,
-    input bit]``; ``miss`` is 1 where the guess differs from the generator's
-    output. The walk ends only for predictors with finitely many snapshots.
+    initial state. Returns ``(successor, miss)``, flat at ``2 * node + input
+    bit``; ``miss`` is 1 where the guess differs from the generator's output.
+    The walk ends only for predictors with finitely many snapshots.
     """
-    trans, out = machine.transition, machine.output
-    root = predictor.snapshot()
-    index = {(root, machine.initial_state): 0}
-    nodes = list(index)
+    nodes = _Nodes(machine, predictor)
+    index = {machine.initial_state: 0}  # (snapshot node, state) pair -> product node
+    pairs = list(index)
     successor, miss = [], []
-    for snap, s in nodes:  # grows as new nodes are found
-        predictor.restore(snap)
-        predictor.inform_state(s)
-        guess = predictor.predict()
-        row = []
-        for b in (0, 1):
-            predictor.restore(snap)
-            predictor.observe(out[s][b])
-            node = (predictor.snapshot(), trans[s][b])
-            if node not in index:
-                index[node] = len(nodes)
-                nodes.append(node)
-            row.append(index[node])
-        successor.append(row)
-        miss.append([int(guess != o) for o in out[s]])
-    predictor.restore(root)
+    for at in pairs:  # grows as new pairs are found
+        for to, m in nodes.expand(at):
+            successor.append(index.setdefault(to, len(pairs)))
+            if successor[-1] == len(pairs):
+                pairs.append(to)
+            miss.append(m)
+    predictor.restore(nodes.root)
     return np.array(successor, dtype=np.int64), np.array(miss, dtype=np.int64)
 
 
 def _sweep_product(machine: MealyMachine, predictor: Predictor, bits: np.ndarray) -> tuple[int, int, list[int]]:
     """Run the product machine of a finite-state predictor over every sample."""
-    trans, miss = _product_machine(machine, predictor)
     # Both tables read flat at 2 * node + input bit: one index per step and
     # 1-D gathers; 2-D [node, bit] gathers took 2.5 times as long at t=200
     # with 10,000 samples.
-    succ, miss = 2 * trans.ravel(), miss.ravel()
+    succ, miss = _product_machine(machine, predictor)
+    succ *= 2
     n, t = bits.shape
     at = np.zeros(n, dtype=np.int64)  # 2 * node
     seq_err = np.zeros(n, dtype=np.int64)
@@ -219,60 +219,84 @@ def _sweep_product(machine: MealyMachine, predictor: Predictor, bits: np.ndarray
 # ---------------------------------------------------------------------------
 # exact engine
 
-def _merge(states: dict, s: int, n: int, errs: int) -> None:
-    """Add ``n`` sequences that end in state ``s`` with at most ``errs`` errors."""
-    if s in states:
-        m, e = states[s]
-        states[s] = (m + n, max(e, errs))
-    else:
-        states[s] = (n, errs)
+class _Nodes:
+    """A predictor's snapshots interned as integer nodes, each expanded once.
+
+    Node 0 is the predictor's current snapshot. On first use a node restores
+    its snapshot to find and cache its guess per generator state and its child
+    per observed bit. A consistency or ensemble node is keyed, and restored,
+    as its count vector over the vector's gcd (an all-zero vector as it is):
+    a guess compares two sums over one vector and observing is linear, so
+    proportional vectors guess alike forever after.
+    """
+
+    def __init__(self, machine: MealyMachine, predictor: Predictor):
+        self.trans, self.out, self.k = machine.transition, machine.output, machine.num_states
+        self.predictor, self.root = predictor, predictor.snapshot()
+        self.scaled = type(predictor) in (ConsistencyPredictor, EnsemblePredictor)
+        self.blind = type(predictor).inform_state is Predictor.inform_state
+        # snapshot -> node; per node its snapshot; at 2 * node + observed bit
+        # its child; at node, or at the pair if the state steers it, its guess
+        self.index, self.keys, self.children, self.guesses = {}, [], [], {}
+        self.intern(self.root)
+
+    def intern(self, snap) -> int:
+        if self.scaled and (g := math.gcd(*snap)) > 1:
+            snap = tuple(c // g for c in snap)
+        node = self.index.setdefault(snap, len(self.keys))
+        if node == len(self.keys):
+            self.keys.append(snap)
+            self.children += (None, None)
+        return node
+
+    def expand(self, pair: int) -> list[tuple[int, bool]]:
+        """(next pair, miss) for input bits 0 and 1 from ``pair`` = node * k + state."""
+        node, s = divmod(pair, self.k)
+        p, key = self.predictor, node if self.blind else pair
+        if key not in self.guesses:
+            p.restore(self.keys[node])
+            p.inform_state(s)
+            self.guesses[key] = p.predict()
+        guess, steps = self.guesses[key], []
+        for b, o in enumerate(self.out[s]):
+            at = 2 * node + o
+            if self.children[at] is None:
+                p.restore(self.keys[node])
+                p.observe(o)
+                self.children[at] = self.intern(p.snapshot())
+            steps.append((self.children[at] * self.k + self.trans[s][b], guess != o))
+        return steps
 
 
-def _frontier_totals(
-    machine: MealyMachine,
-    predictor: Predictor,
-    t: int,
-    start: dict[int, int],
-) -> tuple[int, int, list[int]]:
+def _frontier_totals(machine: MealyMachine, predictor: Predictor, t: int, start: dict[int, int]) -> tuple[int, int, list[int]]:
     """Exact error totals by one depth-by-depth pass with merged predictor states.
 
-    The frontier maps a predictor snapshot to ``{generator state: (number of
-    input sequences, most errors so far)}``. It starts from the predictor's
-    current state with ``start`` giving the per-state sequence counts. A
-    prediction depends only on the snapshot and the generator state, so
-    prefixes that leave equal snapshots share every later prediction and
-    merge into one node; errors are linear in the counts, and an error at
-    depth ``d`` stands for all ``2**(t - d - 1)`` completions.
+    The frontier maps each (snapshot node, generator state) pair, at ``node *
+    k + state``, to (number of input sequences, most errors so far). It
+    starts at the predictor's current snapshot with ``start`` giving the
+    sequence counts per state. They are the engine's own (a node's key
+    rescales only the predictor's), so they stay exact. Errors are linear in
+    them; an error at depth ``d`` stands for ``2**(t - d - 1)`` completions.
     """
-    trans, out = machine.transition, machine.output
-    root = predictor.snapshot()
-    frontier = {root: {s: (n, 0) for s, n in start.items() if n}}
+    nodes = _Nodes(machine, predictor)
+    frontier = {s: (n, 0) for s, n in start.items() if n}
     step = [0] * t
+    peak = len(frontier)
     for depth in range(t):
         nxt: dict = {}
         wrong = 0
-        for snap, states in frontier.items():
-            children: tuple[dict, dict] = ({}, {})
-            for s, (n, errs) in states.items():
-                predictor.restore(snap)
-                predictor.inform_state(s)
-                guess = predictor.predict()
-                for b in (0, 1):
-                    o = out[s][b]
-                    miss = guess != o
-                    wrong += n * miss
-                    _merge(children[o], trans[s][b], n, errs + miss)
-            for o, child in enumerate(children):
-                if child:
-                    predictor.restore(snap)
-                    predictor.observe(o)
-                    merged = nxt.setdefault(predictor.snapshot(), {})
-                    for s, (n, errs) in child.items():
-                        _merge(merged, s, n, errs)
+        for at, (n, errs) in frontier.items():
+            for to, miss in nodes.expand(at):
+                wrong += n * miss
+                m, e = nxt.get(to, (0, 0))
+                nxt[to] = (m + n, max(e, errs + miss))
         step[depth] = wrong << (t - depth - 1)
         frontier = nxt
-    predictor.restore(root)
-    wc = max((e for states in frontier.values() for _, e in states.values()), default=0)
+        peak = max(peak, len(frontier))
+    predictor.restore(nodes.root)
+    log.debug("exact walk, t=%d: %d nodes interned, peak frontier %d (node, state) pairs",
+              t, len(nodes.keys), peak)
+    wc = max((e for _, e in frontier.values()), default=0)
     return sum(step), wc, step
 
 
@@ -544,10 +568,7 @@ def batch_select(
                 total = Fraction(errors, denom)
                 per_machine.append(total if weighting == "pairs" else total / pairs)
             predictor.reset()
-        if weighting == "pairs":
-            score = sum(per_machine, Fraction(0))
-        else:
-            score = sum(per_machine, Fraction(0)) / len(per_machine)
+        score = sum(per_machine, Fraction(0)) / (len(per_machine) if weighting == "machines" else 1)
         scores.append(
             PredictorScore(predictor.label, idx, score, train_errors, died)
         )
@@ -603,46 +624,21 @@ def find_selection_witness(
     for k in range(1, max_states + 1):
         machines.extend(enumerate_machines(k, "canonical"))
 
-    profile_cache: dict[tuple[int, Bits], tuple[int, ...]] = {}
-
-    def profile(mi: int, training: Bits) -> tuple[int, ...]:
-        key = (mi, training)
-        if key not in profile_cache:
-            profile_cache[key] = consistency_profile(machines[mi], training)
-        return profile_cache[key]
-
     for ln in range(1, max_training_len + 1):
         for value in range(1 << ln):
             training = Bits(value, ln)
-            consistent = [i for i in range(len(machines)) if any(profile(i, training))]
-            if not consistent:
+            candidates = {i for i, m in enumerate(machines) if any(consistency_profile(m, training))}
+            if not candidates:
                 continue
-            candidates = set(consistent)
-            for i in range(len(machines)):
-                for j in range(i + 1, len(machines)):
-                    if i not in candidates and j not in candidates:
-                        continue
-                    pair = (machines[i], machines[j])
-                    problem = BatchProblem(
-                        machines=pair,
-                        training=training,
-                        horizon=ln + continuation,
-                        predictors=default_batch_predictors(pair),
-                    )
-                    selection = batch_select(problem)
-                    chosen = selection.scores[selection.best_index]
-                    min_train = min(s.training_errors for s in selection.scores)
-                    if chosen.training_errors <= min_train:
-                        continue
-                    minimizers = [
-                        s for s in selection.scores if s.training_errors == min_train
-                    ]
-                    if all(chosen.score < s.score for s in minimizers):
-                        return SelectionWitness(
-                            machines=pair,
-                            training=training,
-                            continuation=continuation,
-                            selection=selection,
-                            min_training_errors=min_train,
-                        )
+            for i, j in combinations(range(len(machines)), 2):
+                if i not in candidates and j not in candidates:
+                    continue
+                pair = (machines[i], machines[j])
+                problem = BatchProblem(pair, training, ln + continuation, default_batch_predictors(pair))
+                selection = batch_select(problem)
+                chosen = selection.scores[selection.best_index]
+                min_train = min(s.training_errors for s in selection.scores)
+                minimizers = [s for s in selection.scores if s.training_errors == min_train]
+                if chosen.training_errors > min_train and all(chosen.score < s.score for s in minimizers):
+                    return SelectionWitness(pair, training, continuation, selection, min_train)
     return None

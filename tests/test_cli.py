@@ -196,6 +196,46 @@ class TestExitCodes:
         assert "Traceback" not in result.output
 
 
+class TestPredictorOptions:
+    CANDIDATES = "--candidates applies only to --predictor ensemble"
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    @pytest.mark.parametrize("options, message", [
+        (["consistency", "--candidates", "{echo}"], CANDIDATES),
+        (["known-state", "--candidates", "{echo}"], CANDIDATES),
+        (["always-0", "--candidates", "{echo}"], CANDIDATES),
+        (["always-1", "--candidates", "{echo}"], CANDIDATES),
+        (["automaton", "--predictor-machine", "{echo}", "--candidates", "{echo}"], CANDIDATES),
+        (["always-0", "--predictor-machine", "{echo}"], "--predictor always-0 takes no --predictor-machine"),
+        (["always-1", "--predictor-machine", "{echo}"], "--predictor always-1 takes no --predictor-machine"),
+        (["ensemble", "--candidates", "{echo}", "--predictor-machine", "{echo}"],
+         "--predictor ensemble takes no --predictor-machine"),
+        (["always-0", "--predictor-machine", "{echo}", "--candidates", "{echo}"], CANDIDATES),
+    ])
+    def test_ignored_option_refused(self, runner, files, command, options, message):
+        args = [command, "-m", files["echo"], "--predictor"] + [a.format(**files) for a in options]
+        args += ["-t", "6"] if command == "evaluate" else ["--input", "0110"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    @pytest.mark.parametrize("options", [
+        # known-state with the generator itself as its machine
+        ["known-state", "--predictor-machine", "{echo}"],
+        ["consistency", "--predictor-machine", "{echo}"],
+        ["automaton", "--predictor-machine", "{altring}"],
+        ["ensemble", "--candidates", "{echo}", "--candidates", "{altring}"],
+        ["always-1"],
+    ])
+    def test_valid_options_kept(self, runner, files, command, options):
+        args = [command, "-m", files["echo"], "--predictor"] + [a.format(**files) for a in options]
+        args += ["-t", "6"] if command == "evaluate" else ["--input", "0110"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+
+
 class TestPredict:
     def test_consistency_trace(self, runner, files):
         report = run_json(
@@ -248,6 +288,18 @@ class TestBatchSelectCmd:
              files["const1"], "--training", "0000", "--horizon", "8"],
         )
         assert report["result"]["best_label"] == "always-0"
+
+    def test_pair_budget_refused(self, runner, files):
+        result = runner.invoke(
+            main,
+            ["batch-select", "--candidates", files["const0"], "--candidates",
+             files["const1"], "--training", "0", "--horizon", "27"],
+        )
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            "refused: 2 machines x 2**26 continuations exceeds the pair budget of 2**26"
+        ]
 
 
 class TestSearchCmd:
@@ -390,6 +442,20 @@ class TestReproducibility:
         assert plain.stderr == ""
         assert verbose.stderr.splitlines() == [
             "mealypred.search: 256 candidates scored, batches: 1"
+        ]
+        assert not logging.getLogger("mealypred").handlers
+
+    def test_verbose_logs_walk_counters_and_keeps_report(self, runner, files, tmp_path):
+        args = ["evaluate", "-m", files["demo8"], "-t", "12", "--format", "json", "--out"]
+        quiet, loud = tmp_path / "quiet.json", tmp_path / "loud.json"
+        plain = runner.invoke(main, args + [str(quiet)])
+        verbose = runner.invoke(main, ["-v"] + args + [str(loud)])
+        assert plain.exit_code == verbose.exit_code == 0
+        assert quiet.read_bytes() == loud.read_bytes()
+        assert plain.stderr == ""
+        assert verbose.stderr.splitlines() == [
+            "mealypred.evaluation: exact walk, t=12: 22 nodes interned, "
+            "peak frontier 46 (node, state) pairs"
         ]
         assert not logging.getLogger("mealypred").handlers
 

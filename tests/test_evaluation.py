@@ -1,6 +1,8 @@
 """Error metrics (exact and sampled) and batch-mode predictor selection."""
 
+import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +17,7 @@ from mealypred import (
     EnsemblePredictor,
     InconsistentTrainingData,
     KnownStatePredictor,
+    MealyMachine,
     Bits,
     batch_select,
     consistency_profile,
@@ -134,6 +137,80 @@ class TestExhaustive:
         generator, small = random_machine(4, rng), random_machine(2, rng)
         with pytest.raises(ValueError, match="has 2 states, fewer than the generator's 4"):
             evaluate_exhaustive(generator, KnownStatePredictor(small), 6)
+
+
+def _union_rule(members, t):
+    """The consistency guess over the disjoint union of ``members`` as a
+    function of the observed prefix, from the oracle's level tables: count
+    the one-step continuations emitting 0 and 1 of every consistent (member,
+    input) pair; ties, and a prefix no member can produce, go to 0."""
+    tables = [(m, oracles.level_tables(m, t)) for m in members]
+
+    def predict(seen):
+        key = int("".join(map(str, seen)) or "0", 2)
+        lean = 0  # half of (continuations emitting 1 - those emitting 0)
+        for m, levels in tables:
+            for s, c in enumerate(levels[len(seen)].get(key, ())):
+                lean += c * (sum(m.output[s]) - 1)
+        return int(lean > 0)
+
+    return predict
+
+
+class TestMergedWalk:
+    """The snapshot-interning walk against the literal double sum and the
+    per-sequence loop, for the predictors whose nodes are gcd-keyed."""
+
+    @staticmethod
+    def _cases():
+        rng = random.Random(11)
+        machines = [eight_state_example()] + [random_machine(k, rng) for k in (3, 4, 5, 6, 8)]
+        # its biased states of opposite bias are reached with unequal counts,
+        # so a key that kept only which counts are nonzero would misguess
+        machines.append(MealyMachine(3, ((2, 0), (0, 2), (1, 0)), ((1, 0), (0, 0), (1, 1))))
+        for i, m in enumerate(machines):
+            t = 10 + i % 3
+            a, b = random_machine(rng.randint(2, 4), rng), random_machine(3, rng)
+            yield m, t, [m]
+            yield m, t, [a, m]
+            yield m, t, [a, b]  # the generator is not among them: every member may die
+            yield m, t, [b, m, a]
+
+    def test_matches_double_sum_and_loop(self):
+        for m, t, members in self._cases():
+            p = ConsistencyPredictor(m) if len(members) == 1 else EnsemblePredictor(members)
+            r = evaluate_exhaustive(m, p, t, per_step=True)
+            assert r.e_ave == oracles.predictor_error_double_sum(m, _union_rule(members, t), t)
+            with _lenient(p):
+                total, wc, step = _generic_totals(m, p, t, range(1 << t))
+            assert r.e_ave == Fraction(total, t * (1 << t))
+            assert r.e_wc == Fraction(wc, t)
+            assert r.per_step_errors == tuple(Fraction(c, 1 << t) for c in step)
+
+    def test_nodes_are_the_distinct_normalised_vectors(self, caplog):
+        # A machine's own consistency walk reaches exactly the realisable
+        # prefixes of length 0..t, so its nodes are their count vectors over
+        # their gcd, which the oracle's level tables list independently.
+        caplog.set_level("DEBUG", logger="mealypred.evaluation")
+        merged = 0
+        rng = random.Random(12)
+        for m in [eight_state_example()] + [random_machine(k, rng) for k in (3, 5, 6, 8)]:
+            t = 12
+            evaluate_exhaustive(m, ConsistencyPredictor(m), t)
+            levels = oracles.level_tables(m, t)
+            raw = {v for level in levels for v in level.values()}
+            scaled = {tuple(c // math.gcd(*v) for c in v) for v in raw}
+            walk = [r.getMessage() for r in caplog.records if r.name == "mealypred.evaluation"][-1]
+            assert int(re.search(r"(\d+) nodes interned", walk).group(1)) == len(scaled)
+            merged += len(scaled) < len(raw)
+        assert merged  # gcd keys merged proportional vectors
+
+    def test_product_machine_matches_loop(self):
+        rng = random.Random(13)
+        for m in [eight_state_example()] + [random_machine(k, rng) for k in (3, 5, 8)]:
+            for p in (KnownStatePredictor(m), AutomatonPredictor(random_machine(3, rng)),
+                      ConstantPredictor(1)):
+                TestMonteCarlo._assert_matches_loop(m, p, 40, samples=200)
 
 
 class TestMonteCarlo:
@@ -358,6 +435,16 @@ class TestBatchSelect:
         assert pairs.weighting == "pairs" and uniform.weighting == "machines"
         for s in uniform.scores:
             assert 0 <= s.score <= 1
+
+    def test_pair_budget_refused(self, const0, const1):
+        machines = (const0, const1)
+        over = BatchProblem(machines, Bits.from_string("0"), 27, default_batch_predictors(machines))
+        with pytest.raises(CapExceeded, match=r"2 machines x 2\*\*26 continuations exceeds "
+                                              r"the pair budget of 2\*\*26"):
+            batch_select(over)
+        # exactly 2**26 pairs is within the budget
+        within = BatchProblem((const0,), Bits.from_string("0"), 27, default_batch_predictors((const0,)))
+        assert batch_select(within).continuation == 26
 
     def test_known_state_rejected(self, const0):
         problem = BatchProblem(
