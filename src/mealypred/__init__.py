@@ -59,7 +59,6 @@ from .predictors import (
     EnsemblePredictor,
     InconsistentObservation,
     KnownStatePredictor,
-    OutputTransitionMatrices,
     Predictor,
     PredictorTrace,
     trace_predictor,

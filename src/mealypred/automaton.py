@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 class InvalidStateError(ValueError):
@@ -74,17 +74,6 @@ class Bits:
                 value |= 1 << n
             elif ch != "0":
                 raise ValueError(f"invalid bit character {ch!r}")
-            n += 1
-        return cls(value, n)
-
-    @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "Bits":
-        value = 0
-        n = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise ValueError(f"invalid bit {b!r}")
-            value |= b << n
             n += 1
         return cls(value, n)
 
@@ -185,9 +174,6 @@ class MealyMachine:
         if not 0 <= state < self.num_states:
             raise InvalidStateError(f"state {state} out of range")
         return StateClass(self.output[state])
-
-    def state_classes(self) -> tuple[StateClass, ...]:
-        return tuple(StateClass(row) for row in self.output)
 
     def unbiased_states(self) -> tuple[int, ...]:
         return tuple(s for s in range(self.num_states) if not self.classify(s).biased)

@@ -253,17 +253,14 @@ def _exec_batch_select(config: dict) -> dict:
 
 
 def _exec_enumerate(config: dict) -> dict:
-    mode = config["mode"]
-    caps = {}
-    if config.get("cap_k") is not None:
-        caps = {"max_raw_states": config["cap_k"], "max_canonical_states": config["cap_k"]}
+    mode, cap = config["mode"], config.get("cap_k")
     if config["count_only"]:
         return {
             "machines": [],
-            "result": {"mode": mode, "k": config["k"], "count": count_machines(config["k"], mode, **caps)},
+            "result": {"mode": mode, "k": config["k"], "count": count_machines(config["k"], mode, cap=cap)},
         }
     serializations = [
-        serialize_machine(m) for m in enumerate_machines(config["k"], mode, **caps)
+        serialize_machine(m) for m in enumerate_machines(config["k"], mode, cap=cap)
     ]
     return {
         "machines": [],
@@ -616,14 +613,11 @@ def cmd_enumerate(k, mode, count_only, cap_k, fmt, out, timestamps):
     if cap_k is not None:
         config["cap_k"] = cap_k
     if fmt == "human":
-        caps = {}
-        if cap_k is not None:
-            caps = {"max_raw_states": cap_k, "max_canonical_states": cap_k}
         with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as sink:
             if count_only:
-                sink.write(f"{count_machines(config['k'], config['mode'], **caps)}\n")
+                sink.write(f"{count_machines(config['k'], config['mode'], cap=cap_k)}\n")
             else:
-                for machine in enumerate_machines(config["k"], config["mode"], **caps):
+                for machine in enumerate_machines(config["k"], config["mode"], cap=cap_k):
                     sink.write(serialize_machine(machine))
                     sink.write("\n")
         return

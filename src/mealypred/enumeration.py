@@ -135,8 +135,7 @@ def machine_tables(
     k: int,
     mode: str,
     *,
-    max_raw_states: int = RAW_K_CAP,
-    max_canonical_states: int = CANONICAL_K_CAP,
+    cap: int | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield the k-state machines as ``(next, out)`` tables of shape ``(n, k, 2)``.
 
@@ -145,12 +144,15 @@ def machine_tables(
     order. Each chunk fixes the leading slots and runs through every choice of
     the trailing ones, at most ``CHUNK_ROWS`` rows. ``mode`` is ``raw``, or
     ``canonical`` for the rows that are least among their relabelings.
+    ``cap`` bounds ``k``: ``RAW_K_CAP`` or ``CANONICAL_K_CAP`` by mode unless
+    given.
     """
     if mode not in _TABLE_MODES:
         raise ValueError(f"unknown table mode {mode!r}; expected one of {_TABLE_MODES}")
     if k < 1:
         raise ValueError("state count must be positive")
-    cap = max_raw_states if mode == "raw" else max_canonical_states
+    if cap is None:
+        cap = RAW_K_CAP if mode == "raw" else CANONICAL_K_CAP
     if k > cap:
         raise CapExceeded(
             f"enumeration of {k}-state machines in {mode} mode exceeds the cap of "
@@ -174,8 +176,7 @@ def enumerate_machines(
     k: int,
     mode: str = "raw",
     *,
-    max_raw_states: int = RAW_K_CAP,
-    max_canonical_states: int = CANONICAL_K_CAP,
+    cap: int | None = None,
 ) -> Iterator[MealyMachine]:
     """Yield every k-state machine once, in serialization order.
 
@@ -188,11 +189,7 @@ def enumerate_machines(
     """
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
-    tables = machine_tables(
-        k, "raw" if mode == "raw" else "canonical",
-        max_raw_states=max_raw_states, max_canonical_states=max_canonical_states,
-    )
-    for nxt, out in tables:
+    for nxt, out in machine_tables(k, "raw" if mode == "raw" else "canonical", cap=cap):
         for trans, outs in zip(nxt.tolist(), out.tolist()):
             machine = MealyMachine(k, trans, outs, 0)
             if mode == "strongly_connected" and not is_strongly_connected(machine):
@@ -200,9 +197,9 @@ def enumerate_machines(
             yield machine
 
 
-def count_machines(k: int, mode: str = "raw", **caps) -> int:
+def count_machines(k: int, mode: str = "raw", *, cap: int | None = None) -> int:
     """Exact count of machines yielded by :func:`enumerate_machines`; the raw
     and canonical counts are the row counts of :func:`machine_tables`."""
     if mode in _TABLE_MODES:
-        return sum(len(nxt) for nxt, _ in machine_tables(k, mode, **caps))
-    return sum(1 for _ in enumerate_machines(k, mode, **caps))
+        return sum(len(nxt) for nxt, _ in machine_tables(k, mode, cap=cap))
+    return sum(1 for _ in enumerate_machines(k, mode, cap=cap))

@@ -138,8 +138,12 @@ def _lenient(predictor: Predictor):
 
 def _sweep_consistency(machine: MealyMachine, predictor: ConsistencyPredictor, bits: np.ndarray) -> tuple[int, int, list[int]]:
     """Count kernel: the consistency counts of every sample, one row each."""
-    m0 = np.asarray(predictor.matrices.m0, dtype=np.int64)
-    m1 = np.asarray(predictor.matrices.m1, dtype=np.int64)
+    # m[o, i, j]: the inputs taking the predictor's machine from state i to
+    # state j while emitting o
+    pm = predictor.machine
+    m = np.zeros((2, pm.num_states, pm.num_states), dtype=np.int64)
+    np.add.at(m, (np.asarray(pm.output), np.arange(pm.num_states)[:, None], np.asarray(pm.transition)), 1)
+    m0, m1 = m
     lean = m1.sum(axis=1) - m0.sum(axis=1)  # a row guesses 1 where counts @ lean > 0
     succ = 2 * np.asarray(machine.transition, dtype=np.int64).ravel()
     out = np.asarray(machine.output, dtype=bool).ravel()

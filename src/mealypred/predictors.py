@@ -9,7 +9,10 @@ before every ``predict``) and exists to measure the perfect-knowledge floor.
 
 Every predictor offers ``snapshot``/``restore``, which exact evaluation
 requires. The model-tracking predictors share one count vector: the ensemble
-is the consistency predictor of the disjoint union of its candidates.
+is the consistency predictor of the disjoint union of its candidates, and the
+consistency predictor reads its machine's tables alone, keeping per observed
+bit and state the successors of the inputs that emit that bit. A label that
+names a machine hashes it only when read.
 """
 
 from __future__ import annotations
@@ -94,7 +97,10 @@ class KnownStatePredictor(Predictor):
     def __init__(self, machine: MealyMachine):
         self.machine = machine
         self._state = machine.initial_state
-        self.label = f"known-state:{machine_id(machine)[:12]}"
+
+    @property
+    def label(self) -> str:
+        return f"known-state:{machine_id(self.machine)[:12]}"
 
     def reset(self):
         self._state = self.machine.initial_state
@@ -116,56 +122,6 @@ class KnownStatePredictor(Predictor):
         self._state = snap
 
 
-@dataclass(frozen=True)
-class OutputTransitionMatrices:
-    """Transition-count matrices split by emitted bit.
-
-    ``m0[i][j]`` counts input bits taking state i to state j while emitting 0;
-    ``m1`` likewise for 1. Entrywise, ``m0 + m1`` is the adjacency matrix.
-    """
-
-    m0: tuple[tuple[int, ...], ...]
-    m1: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def from_machine(cls, machine: MealyMachine) -> "OutputTransitionMatrices":
-        k = machine.num_states
-        m = [[[0] * k for _ in range(k)], [[0] * k for _ in range(k)]]
-        for s in range(k):
-            for b in (0, 1):
-                m[machine.output[s][b]][s][machine.transition[s][b]] += 1
-        return cls(
-            tuple(tuple(row) for row in m[0]),
-            tuple(tuple(row) for row in m[1]),
-        )
-
-    def sparse_rows(self, bit: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Rows as (column, count) pairs; each row has at most two entries."""
-        rows = self.m1 if bit else self.m0
-        return tuple(
-            tuple((j, v) for j, v in enumerate(row) if v) for row in rows
-        )
-
-    def out_degrees(self, bit: int) -> tuple[int, ...]:
-        """Per state, how many of its two input bits emit ``bit``."""
-        rows = self.m1 if bit else self.m0
-        return tuple(sum(row) for row in rows)
-
-
-def advance_counts(
-    counts: Sequence[int],
-    sparse_rows: tuple[tuple[tuple[int, int], ...], ...],
-) -> list[int]:
-    """Evolve per-state sequence counts one step along transitions emitting a
-    fixed bit; counts stay exact integers."""
-    out = [0] * len(counts)
-    for c, row in zip(counts, sparse_rows):
-        if c:
-            for j, v in row:
-                out[j] += c if v == 1 else c + c
-    return out
-
-
 class ConsistencyPredictor(Predictor):
     """Optimal predictor when the machine is known but its state is not.
 
@@ -183,13 +139,20 @@ class ConsistencyPredictor(Predictor):
 
     def __init__(self, machine: MealyMachine, *, strict: bool = True):
         self.machine = machine
-        self.matrices = OutputTransitionMatrices.from_machine(machine)
-        self._rows = (self.matrices.sparse_rows(0), self.matrices.sparse_rows(1))
-        self._deg = (self.matrices.out_degrees(0), self.matrices.out_degrees(1))
+        # per observed bit and state: the successors of the inputs emitting it
+        self._succ = tuple(
+            tuple(tuple(n for n, o in zip(nxt, out) if o == bit)
+                  for nxt, out in zip(machine.transition, machine.output))
+            for bit in (0, 1)
+        )
+        self._deg = tuple(tuple(map(len, rows)) for rows in self._succ)
         self.strict = strict
-        self.label = f"consistency:{machine_id(machine)[:12]}"
         self._start = tuple(int(s == machine.initial_state) for s in range(machine.num_states))
         self.reset()
+
+    @property
+    def label(self) -> str:
+        return f"consistency:{machine_id(self.machine)[:12]}"
 
     def reset(self):
         self._counts = list(self._start)
@@ -219,11 +182,16 @@ class ConsistencyPredictor(Predictor):
     def observe(self, bit: int):
         if bit not in (0, 1):
             raise ValueError(f"invalid bit {bit!r}")
-        new = advance_counts(self._counts, self._rows[bit])
+        new = [0] * len(self._counts)
+        for c, succ in zip(self._counts, self._succ[bit]):
+            if c:
+                for n in succ:
+                    new[n] += c
         if not any(new):
             if self.strict:
                 raise InconsistentObservation(self._impossible(bit))
-            log.debug("%s: model ruled out by observation", self.label)
+            if log.isEnabledFor(logging.DEBUG):  # the label hashes the machine
+                log.debug("%s: model ruled out by observation", self.label)
         self._counts = new
 
     def _impossible(self, bit: int) -> str:
@@ -261,11 +229,14 @@ class EnsemblePredictor(ConsistencyPredictor):
             tuple(row for m in machines for row in m.output),
         )
         super().__init__(union, strict=strict)
-        self.label = f"ensemble-{len(machines)}"
         self._members = tuple(machines)
         self._blocks = tuple(zip(offsets, ends))
         self._start = tuple(int(s == m.initial_state) for m in machines for s in range(m.num_states))
         self.reset()
+
+    @property
+    def label(self) -> str:
+        return f"ensemble-{len(self._members)}"
 
     def alive(self) -> tuple[int, ...]:
         """Indices of the candidates that can still produce the observed prefix."""

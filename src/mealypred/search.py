@@ -77,7 +77,7 @@ class SearchResult:
 def _search(
     targets: Sequence[MealyMachine],
     starts: Sequence[dict[int, int]],
-    training: Bits | tuple[int, ...],
+    training: Bits,
     num_states: int,
     t: int,
     denom: int,
@@ -172,7 +172,8 @@ def search_best_predictor(
     Each candidate's score is its exact average error at horizon ``t``, taken
     uniformly across the target machines (the mean keeps scores in [0, 1]).
     Ties break toward the lexicographically least machine, so results are
-    reproducible across runs.
+    reproducible across runs. This is :func:`search_after_training` on an
+    empty training prefix, under the exhaustive horizon cap.
     """
     if not targets:
         raise ValueError("at least one target machine is required")
@@ -182,9 +183,7 @@ def search_best_predictor(
         raise ValueError("leaderboard size must be at least 1")
     if t > cap:
         raise CapExceeded(f"horizon {t} exceeds the exhaustive cap of {cap}")
-    starts = [{m.initial_state: 1} for m in targets]
-    denom = len(targets) * t * (1 << t)
-    return _search(targets, starts, (), num_states, t, denom, top_n)
+    return search_after_training(targets, num_states, Bits(0, 0), t, top_n=top_n)
 
 
 def search_after_training(

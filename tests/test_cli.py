@@ -279,6 +279,15 @@ class TestEnumerateCmd:
         result = runner.invoke(main, ["enumerate", "-k", "6", "--count-only"])
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("fmt", ["human", "json"])
+    @pytest.mark.parametrize("mode", ["raw", "canonical", "strongly-connected"])
+    def test_cap_k_sets_the_cap_of_every_mode(self, runner, mode, fmt):
+        args = ["enumerate", "-k", "2", "--mode", mode, "--count-only", "--format", fmt]
+        assert runner.invoke(main, args + ["--cap-k", "2"]).exit_code == 0
+        result = runner.invoke(main, args + ["--cap-k", "1"])
+        assert result.exit_code == 3
+        assert "exceeds the cap of 1" in result.stderr
+
 
 class TestBatchSelectCmd:
     def test_toy_selects_always_zero(self, runner, files):

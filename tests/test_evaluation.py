@@ -251,7 +251,9 @@ class TestMonteCarlo:
         # The count kernel and the product sweep against the per-sequence
         # loop. At t = 70 the kernel's rows reach its int64 bound and are
         # divided by their gcd; the constant machine's counts double every
-        # step, so its rows fall back to 1 there and never widen.
+        # step, so its rows fall back to 1 there and never widen. The
+        # consistency predictors of ``other`` and ``a`` track a machine that
+        # is not the generator, so the kernel must read the predictor's.
         rng = random.Random(6)
         for t in (9, 70):
             for m in [constant_machine(0)] + [random_machine(rng.randint(1, 6), rng) for _ in range(3)]:
@@ -259,6 +261,8 @@ class TestMonteCarlo:
                 other = random_machine(m.num_states, rng)
                 for p in (
                     ConsistencyPredictor(m),
+                    ConsistencyPredictor(other),
+                    ConsistencyPredictor(a),
                     EnsemblePredictor([a, m]),
                     EnsemblePredictor([a, m, b]),
                     KnownStatePredictor(m),

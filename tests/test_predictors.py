@@ -14,8 +14,6 @@ from mealypred import (
     InconsistentObservation,
     KnownStatePredictor,
     MealyMachine,
-    OutputTransitionMatrices,
-    adjacency,
     evaluate_exhaustive,
     machine_id,
     trace_predictor,
@@ -24,23 +22,6 @@ from mealypred.enumeration import enumerate_machines
 from mealypred.machines import constant_machine, random_machine
 
 import oracles
-
-
-class TestMatrices:
-    def test_split_sums_to_adjacency(self):
-        rng = random.Random(1)
-        for _ in range(30):
-            m = random_machine(rng.randint(1, 6), rng)
-            mats = OutputTransitionMatrices.from_machine(m)
-            adj = adjacency(m)
-            for i in range(m.num_states):
-                for j in range(m.num_states):
-                    assert mats.m0[i][j] + mats.m1[i][j] == adj[i][j]
-
-    def test_degrees_count_outputs(self, echo):
-        mats = OutputTransitionMatrices.from_machine(echo)
-        assert mats.out_degrees(0) == (1, 1)
-        assert mats.out_degrees(1) == (1, 1)
 
 
 class TestKnownState:
