@@ -35,48 +35,41 @@ def raw_machine_count(k: int) -> int:
     return (2 * k) ** (2 * k)
 
 
-def _admissible_perms(k: int, initial: int) -> list[tuple[int, ...]]:
-    """All state relabelings that map the initial state to index 0."""
-    others = [s for s in range(k) if s != initial]
-    perms = []
+def _relabelings(k: int) -> list[tuple[tuple[int, ...], bytes]]:
+    """Every state relabeling ``perm`` that fixes state 0, the identity first.
+
+    Each is given as the old slots in new order (new state ``perm[s]`` takes
+    old state ``s``'s two slots), and per old slot code ``2 * next + out`` the
+    code it becomes once its successor is renamed. The one definition of a
+    relabeling: the canonical filter, :func:`canonicalize` and
+    :func:`orbit_size` all read it.
+    """
+    out = []
     for images in permutations(range(1, k)):
-        perm = [0] * k
-        perm[initial] = 0
-        for s, img in zip(others, images):
-            perm[s] = img
-        perms.append(tuple(perm))
-    return perms
-
-
-def _relabel_key(trans, out, k, perm) -> tuple:
-    """Flattened (next, out) table of the relabeled machine, rows ordered by
-    the new state indices; this tuple order matches serialization order."""
-    inverse = [0] * k
-    for s, img in enumerate(perm):
-        inverse[img] = s
-    key = []
-    for new_s in range(k):
-        old = inverse[new_s]
-        for b in (0, 1):
-            key.append((perm[trans[old][b]], out[old][b]))
-    return tuple(key)
+        perm = (0,) + images
+        inverse = sorted(range(k), key=perm.__getitem__)
+        slots = tuple([2 * s + b for s in inverse for b in (0, 1)])
+        out.append((slots, bytes([2 * perm[c >> 1] + (c & 1) for c in range(2 * k)])))
+    return out
 
 
 def relabel(machine: MealyMachine, perm: tuple[int, ...]) -> MealyMachine:
     """Rename states by ``perm`` (old index -> new index); behavior is unchanged."""
-    k = machine.num_states
-    trans = [[0, 0] for _ in range(k)]
-    out = [[0, 0] for _ in range(k)]
-    for s in range(k):
-        for b in (0, 1):
-            trans[perm[s]][b] = perm[machine.transition[s][b]]
-            out[perm[s]][b] = machine.output[s][b]
-    return MealyMachine(
-        k,
-        tuple(tuple(r) for r in trans),
-        tuple(tuple(r) for r in out),
-        perm[machine.initial_state],
-    )
+    inverse = sorted(range(machine.num_states), key=perm.__getitem__)
+    trans = [[perm[n] for n in machine.transition[s]] for s in inverse]
+    out = [machine.output[s] for s in inverse]
+    return MealyMachine(machine.num_states, trans, out, perm[machine.initial_state])
+
+
+def _relabeled_keys(machine: MealyMachine) -> list[bytes]:
+    """The slot codes of the machine under every admissible relabeling, in
+    :func:`_relabelings` order, once a swap has moved its initial state to 0."""
+    k, s0 = machine.num_states, machine.initial_state
+    swap = list(range(k))
+    swap[0], swap[s0] = s0, 0
+    m = relabel(machine, tuple(swap)) if s0 else machine
+    codes = bytes([2 * m.transition[s][b] + m.output[s][b] for s in range(k) for b in (0, 1)])
+    return [bytes([rename[codes[i]] for i in slots]) for slots, rename in _relabelings(k)]
 
 
 def canonicalize(machine: MealyMachine) -> MealyMachine:
@@ -85,22 +78,13 @@ def canonicalize(machine: MealyMachine) -> MealyMachine:
     Idempotent, and identical for isomorphic machines; used as the identity
     for counting machine classes and deduplicating search spaces.
     """
-    k = machine.num_states
-    best_perm = min(
-        _admissible_perms(k, machine.initial_state),
-        key=lambda p: _relabel_key(machine.transition, machine.output, k, p),
-    )
-    return relabel(machine, best_perm)
+    codes = np.frombuffer(min(_relabeled_keys(machine)), dtype=np.uint8).reshape(-1, 2)
+    return MealyMachine(machine.num_states, codes >> 1, codes & 1, 0)
 
 
 def orbit_size(machine: MealyMachine) -> int:
     """Number of distinct machines reachable by admissible relabelings."""
-    k = machine.num_states
-    keys = {
-        _relabel_key(machine.transition, machine.output, k, p)
-        for p in _admissible_perms(k, machine.initial_state)
-    }
-    return len(keys)
+    return len(set(_relabeled_keys(machine)))
 
 
 def is_strongly_connected(machine: MealyMachine) -> bool:
@@ -113,22 +97,10 @@ def is_strongly_connected(machine: MealyMachine) -> bool:
 
 
 def _keys(slots: np.ndarray) -> np.ndarray:
-    """Rows as byte strings, which compare like the key tuples: the first
-    differing slot code decides. NumPy ignores trailing NUL bytes when it
-    compares them, which keeps this order, since NUL is the least byte."""
+    """Rows as byte strings, which compare like the keys of :func:`_relabeled_keys`:
+    the first differing slot code decides. NumPy ignores trailing NUL bytes when
+    it compares them, which keeps this order, since NUL is the least byte."""
     return np.ascontiguousarray(slots, dtype=np.uint8).view(f"S{slots.shape[1]}").ravel()
-
-
-def _relabelings(k: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per non-identity admissible relabeling ``perm``: the old columns in
-    new order (new state ``perm[s]`` takes old state ``s``'s two slots), and
-    the slot code each old code becomes once its successor is renamed."""
-    out = []
-    for perm in _admissible_perms(k, 0)[1:]:  # the first is the identity
-        inverse = np.argsort(perm)
-        columns = np.stack([2 * inverse, 2 * inverse + 1], axis=1).ravel()
-        out.append((columns, (2 * np.repeat(perm, 2) + np.tile((0, 1), k)).astype(np.uint8)))
-    return out
 
 
 def machine_tables(
@@ -163,7 +135,8 @@ def machine_tables(
     while trailing < width and base ** (trailing + 1) <= CHUNK_ROWS:
         trailing += 1
     tail = np.indices((base,) * trailing, dtype=np.uint8).reshape(trailing, -1).T
-    relabelings = _relabelings(k) if mode != "raw" else []
+    entries = _relabelings(k)[1:] if mode != "raw" else []  # the first is the identity
+    relabelings = [(np.array(columns), np.frombuffer(rename, np.uint8)) for columns, rename in entries]
     for lead in product(range(base), repeat=width - trailing):
         slots = np.hstack([np.full((len(tail), len(lead)), lead, dtype=np.uint8), tail])
         for columns, rename in relabelings:

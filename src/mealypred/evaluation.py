@@ -22,8 +22,8 @@ by their gcd, which changes no guess, whenever they could overflow, and turn
 into exact Python integers only if the normalised rows outgrow int64. The
 finite-state predictors (known-state, constant, automaton) run beside the
 generator as one product machine on input bits, built once from their
-snapshot nodes, so each step costs two table lookups. Only a predictor from
-outside the package goes through a per-sequence loop.
+snapshot nodes, so each step costs two table lookups. Any other predictor,
+a subclass of a built-in one included, goes through a per-sequence loop.
 
 Predictors whose machine model is contradicted by an observation are scored
 leniently here: a dead model keeps emitting the tie-rule 0. This makes
@@ -53,6 +53,11 @@ from .predictors import (
 )
 
 log = logging.getLogger(__name__)
+
+# Built-in predictor classes by the shortcut the engines take for them,
+# matched by exact type, since a subclass may break the rule a shortcut rests on
+_COUNTING = (ConsistencyPredictor, EnsemblePredictor)  # count vectors, keyed over their gcd
+_FINITE = (KnownStatePredictor, ConstantPredictor, AutomatonPredictor)  # finitely many snapshots
 
 EXHAUSTIVE_T_CAP = 24
 PAIR_BUDGET_LOG2 = 26
@@ -237,7 +242,7 @@ class _Nodes:
     def __init__(self, machine: MealyMachine, predictor: Predictor):
         self.trans, self.out, self.k = machine.transition, machine.output, machine.num_states
         self.predictor, self.root = predictor, predictor.snapshot()
-        self.scaled = type(predictor) in (ConsistencyPredictor, EnsemblePredictor)
+        self.scaled = type(predictor) in _COUNTING
         self.blind = type(predictor).inform_state is Predictor.inform_state
         # snapshot -> node; per node its snapshot; at 2 * node + observed bit
         # its child; at node, or at the pair if the state steers it, its guess
@@ -315,8 +320,8 @@ def _generic_totals(
 ) -> tuple[int, int, list[int]]:
     """Per-sequence loop over bit-packed inputs; works for any predictor.
 
-    Monte Carlo runs predictors from outside the package through it, and the
-    tests use it as the reference for the other engines.
+    Monte Carlo runs every predictor not of a built-in class through it, and
+    the tests use it as the reference for the other engines.
     """
     trans = machine.transition
     out = machine.output
@@ -417,9 +422,9 @@ def evaluate_monte_carlo(
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=(samples, t), dtype=np.uint8)
     predictor.reset()
-    if isinstance(predictor, ConsistencyPredictor):
+    if type(predictor) in _COUNTING:
         total, wc, step = _sweep_consistency(machine, predictor, bits)
-    elif isinstance(predictor, (KnownStatePredictor, ConstantPredictor, AutomatonPredictor)):
+    elif type(predictor) in _FINITE:
         total, wc, step = _sweep_product(machine, predictor, bits)
     else:
         packed = (
@@ -627,6 +632,8 @@ def find_selection_witness(
     machines: list[MealyMachine] = []
     for k in range(1, max_states + 1):
         machines.extend(enumerate_machines(k, "canonical"))
+    # built once: batch_select resets each predictor before and after use
+    predictors = default_batch_predictors(machines)
 
     for ln in range(1, max_training_len + 1):
         for value in range(1 << ln):
@@ -638,7 +645,8 @@ def find_selection_witness(
                 if i not in candidates and j not in candidates:
                     continue
                 pair = (machines[i], machines[j])
-                problem = BatchProblem(pair, training, ln + continuation, default_batch_predictors(pair))
+                pair_predictors = predictors[:2] + (predictors[2 + i], predictors[2 + j])
+                problem = BatchProblem(pair, training, ln + continuation, pair_predictors)
                 selection = batch_select(problem)
                 chosen = selection.scores[selection.best_index]
                 min_train = min(s.training_errors for s in selection.scores)

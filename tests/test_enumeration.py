@@ -112,6 +112,13 @@ class TestCanonicalize:
         c = canonicalize(m)
         assert c.initial_state == 0
         assert machine_id(canonicalize(relabel(m, (1, 0)))) == machine_id(c)
+        assert orbit_size(relabel(m, (1, 0))) == orbit_size(m) == orbit_size(c)
+
+    def test_canonical_forms_of_raw_k3_are_the_canonical_list(self):
+        # the first k with a non-identity relabeling, where the table filter
+        # and canonicalize could disagree
+        canon = {canonicalize(m) for m in enumerate_machines(3, "raw")}
+        assert canon == set(enumerate_machines(3, "canonical"))
 
 
 class TestStrongConnectivity:

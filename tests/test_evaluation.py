@@ -64,6 +64,36 @@ class _FlipFlopPredictor(Predictor):
         self._next = snap
 
 
+class _ContraryPredictor(ConsistencyPredictor):
+    """Guesses the bit the consistency rule rejects."""
+
+    def predict(self) -> int:
+        return 1 - super().predict()
+
+
+class _CountingPredictor(AutomatonPredictor):
+    """Also counts its observations, so it has a snapshot per step count.
+    It refuses after 10,000 snapshots, where a walk over them would not end."""
+
+    def reset(self):
+        super().reset()
+        self.seen, self.taken = 0, 0
+
+    def observe(self, bit: int):
+        super().observe(bit)
+        self.seen += 1
+
+    def snapshot(self):
+        self.taken += 1
+        if self.taken > 10_000:
+            raise RuntimeError("more than 10,000 snapshots")
+        return super().snapshot(), self.seen
+
+    def restore(self, snap):
+        super().restore(snap[0])
+        self.seen = snap[1]
+
+
 class TestExhaustive:
     def test_constant_machine_perfectly_predicted(self, const0):
         r = evaluate_exhaustive(const0, ConsistencyPredictor(const0), 8)
@@ -253,7 +283,9 @@ class TestMonteCarlo:
         # divided by their gcd; the constant machine's counts double every
         # step, so its rows fall back to 1 there and never widen. The
         # consistency predictors of ``other`` and ``a`` track a machine that
-        # is not the generator, so the kernel must read the predictor's.
+        # is not the generator, so the kernel must read the predictor's. The
+        # engines' shortcuts hold for the built-in classes only: a subclass
+        # may guess otherwise, or have unboundedly many snapshots.
         rng = random.Random(6)
         for t in (9, 70):
             for m in [constant_machine(0)] + [random_machine(rng.randint(1, 6), rng) for _ in range(3)]:
@@ -270,6 +302,8 @@ class TestMonteCarlo:
                     ConstantPredictor(0),
                     ConstantPredictor(1),
                     AutomatonPredictor(a),
+                    _ContraryPredictor(m),
+                    _CountingPredictor(a),
                 ):
                     self._assert_matches_loop(m, p, t)
 
