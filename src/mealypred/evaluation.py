@@ -17,13 +17,17 @@ predictor has, so there is no fallback path.
 
 Monte Carlo estimates sample input sequences and run every built-in
 predictor through a vectorized numpy sweep at any horizon. Consistency and
-ensemble predictors share one count kernel. Its int64 count rows are divided
-by their gcd, which changes no guess, whenever they could overflow, and turn
-into exact Python integers only if the normalised rows outgrow int64. The
-finite-state predictors (known-state, constant, automaton) run beside the
-generator as one product machine on input bits, built once from their
-snapshot nodes, so each step costs two table lookups. Any other predictor,
-a subclass of a built-in one included, goes through a per-sequence loop.
+ensemble predictors share one count kernel: one column of counts per sample,
+and per step one product with the stacked transition and lean matrices. The
+counts climb a ladder of exact number types. They are float64 while column
+sums stay below 2**52, so every product and partial sum stays below 2**53.
+Past that bound each column is divided by its gcd, which changes no guess;
+columns that still do not fit move to int64, exact below 2**62, and past
+that, after another gcd, to Python integers. The finite-state predictors
+(known-state, constant, automaton) run beside the generator as one product
+machine on input bits, built once from their snapshot nodes, so each step
+costs two table lookups. Any other predictor, a subclass of a built-in one
+included, goes through a per-sequence loop.
 
 Predictors whose machine model is contradicted by an observation are scored
 leniently here: a dead model keeps emitting the tie-rule 0. This makes
@@ -142,43 +146,51 @@ def _lenient(predictor: Predictor):
 # vectorized Monte Carlo sweeps (integer error totals over sampled inputs)
 
 def _sweep_consistency(machine: MealyMachine, predictor: ConsistencyPredictor, bits: np.ndarray) -> tuple[int, int, list[int]]:
-    """Count kernel: the consistency counts of every sample, one row each."""
-    # m[o, i, j]: the inputs taking the predictor's machine from state i to
-    # state j while emitting o
-    pm = predictor.machine
-    m = np.zeros((2, pm.num_states, pm.num_states), dtype=np.int64)
-    np.add.at(m, (np.asarray(pm.output), np.arange(pm.num_states)[:, None], np.asarray(pm.transition)), 1)
-    m0, m1 = m
-    lean = m1.sum(axis=1) - m0.sum(axis=1)  # a row guesses 1 where counts @ lean > 0
+    """Count kernel: the consistency counts of every sample, one column each."""
+    # w = [m0; m1; lean]: m[o][j, i] counts the inputs taking the predictor's
+    # machine from state i to state j while emitting o; a column guesses 1
+    # where lean @ counts > 0
+    pm, k = predictor.machine, predictor.machine.num_states
+    w = np.zeros((2 * k + 1, k), dtype=np.int64)
+    np.add.at(w, (k * np.asarray(pm.output) + np.asarray(pm.transition), np.arange(k)[:, None]), 1)
+    w[2 * k] = w[k:2 * k].sum(axis=0) - w[:k].sum(axis=0)
     succ = 2 * np.asarray(machine.transition, dtype=np.int64).ravel()
     out = np.asarray(machine.output, dtype=bool).ravel()
     start = predictor.snapshot()
     n, t = bits.shape
-    counts = np.tile(np.asarray(start, dtype=np.int64), (n, 1))
+    # Counts are non-negative and out-degrees at most 2, so if every column
+    # sum is at most ``bound``, every entry and partial sum of w @ counts is
+    # at most 2 * bound in size, as is every next column sum: a step is exact
+    # on the first rung whose limit exceeds bound. A guess compares counts of
+    # one column and the update is linear, so past the limit each column is
+    # divided by its gcd (an all-zero one by 1) and all move to the first rung
+    # that fits.
+    rungs = ((np.float64, 1 << 52), (np.int64, 1 << 62), (object, math.inf))
+    bound = sum(start)
+    rung, limit = next(r for r in rungs if bound < r[1])
+    counts, ws = np.repeat(np.array(start, dtype=rung)[:, None], n, axis=1), w.astype(rung)
     at = np.full(n, 2 * machine.initial_state, dtype=np.int64)  # 2 * generator state
     seq_err = np.zeros(n, dtype=np.int64)
-    step_totals = []
-    # Counts are non-negative and out-degrees at most 2, so if every row sum
-    # is at most ``bound``, every entry and partial sum of counts @ m0, @ m1
-    # and @ lean is at most 2 * bound, as is every next row sum: a step is
-    # exact in int64 while bound < 2**62. A guess compares counts of one row
-    # and the update is linear, so there each row is divided by its gcd (an
-    # all-zero row by 1); only rows that still do not fit widen to Python ints.
-    bound = sum(start)
+    step_totals, normalised = [], []
     for i in range(t):
-        if bound >= 1 << 62 and counts.dtype != object:
-            counts //= np.maximum(np.gcd.reduce(counts, axis=1), 1)[:, None]
-            bound = int(counts.sum(axis=1).max())
-            if bound >= 1 << 62:
-                counts = counts.astype(object)
+        if bound >= limit:
+            ints = counts.astype(np.int64)
+            ints //= np.maximum(np.gcd.reduce(ints, axis=0), 1)
+            bound = int(ints.sum(axis=0).max())
+            rung, limit = next(r for r in rungs if bound < r[1])
+            counts, ws = ints.astype(rung), w.astype(rung)
+            normalised.append(i)
         at += bits[:, i]
         o = out[at]
-        e = (counts @ lean > 0) != o
+        nxt = ws @ counts
+        e = (nxt[2 * k] > 0) != o
         seq_err += e
         step_totals.append(int(np.count_nonzero(e)))
         at = succ[at]
-        counts = np.where(o[:, None], counts @ m1, counts @ m0)
+        counts = np.where(o, nxt[k:2 * k], nxt[:k])
         bound *= 2
+    log.debug("count kernel, %d samples, t=%d: columns normalised at depths %s, ended on %s",
+              n, t, normalised, counts.dtype)
     return int(seq_err.sum()), int(seq_err.max()), step_totals
 
 

@@ -2,6 +2,8 @@
 
 import json
 import logging
+import random
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -13,6 +15,7 @@ from mealypred.machines import (
     constant_machine,
     echo_machine,
     eight_state_example,
+    random_machine,
 )
 
 
@@ -468,6 +471,20 @@ class TestReproducibility:
         ]
         assert not logging.getLogger("mealypred").handlers
 
+    def test_verbose_logs_count_kernel_and_keeps_report(self, runner, files, tmp_path):
+        args = ["evaluate", "-m", files["demo8"], "-t", "70", "--method", "monte-carlo",
+                "--samples", "100", "--seed", "3", "--format", "json", "--out"]
+        quiet, loud = tmp_path / "quiet.json", tmp_path / "loud.json"
+        plain = runner.invoke(main, args + [str(quiet)])
+        verbose = runner.invoke(main, ["-v"] + args + [str(loud)])
+        assert plain.exit_code == verbose.exit_code == 0
+        assert quiet.read_bytes() == loud.read_bytes()
+        assert plain.stderr == ""
+        assert verbose.stderr.splitlines() == [
+            "mealypred.evaluation: count kernel, 100 samples, t=70: "
+            "columns normalised at depths [52, 53, 63], ended on object"
+        ]
+
     def test_config_round_trips(self, runner, files):
         report = run_json(runner, ["evaluate", "-m", files["echo"], "-t", "10"])
         assert json.loads(json.dumps(report["config"])) == report["config"]
@@ -485,3 +502,42 @@ class TestReproducibility:
         assert list(report) == ["tool", "version", "command", "config", "machines", "result"]
         assert list(report["machines"][0]) == ["path", "id", "states"]
         assert "workers" not in json.dumps(report)
+
+
+def _seeded(seed):
+    rng = random.Random(seed)
+    return random_machine(rng.randint(3, 8), rng)
+
+
+GOLDEN_MONTE_CARLO = json.loads((Path(__file__).parent / "golden" / "monte_carlo.json").read_text())
+
+
+class TestGoldenMonteCarlo:
+    """Monte Carlo result blocks captured from the int64 count kernel that
+    preceded the float64 one: each must come out as the same JSON text."""
+
+    @pytest.fixture(scope="class")
+    def machine_files(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("golden")
+        machines = {
+            "eight_state_example": eight_state_example(),
+            "seeded-141": _seeded(141),
+            "seeded-154": _seeded(154),
+            "alternating_ring": alternating_ring(),
+            "echo_machine": echo_machine(),
+        }
+        for name, machine in machines.items():
+            (d / f"{name}.mealy").write_text(serialize_machine(machine))
+        return {name: str(d / f"{name}.mealy") for name in machines}
+
+    @pytest.mark.parametrize("case", GOLDEN_MONTE_CARLO,
+                             ids=[f"{c['machine']}-{c['predictor']}-t{c['t']}" for c in GOLDEN_MONTE_CARLO])
+    def test_report_is_unchanged(self, runner, machine_files, case):
+        args = ["evaluate", "-m", machine_files[case["machine"]], "--predictor", case["predictor"],
+                "-t", str(case["t"]), "--method", "monte-carlo", "--samples", "200", "--seed", "11",
+                "--per-step"]
+        if case["predictor"] == "ensemble":
+            for name in (case["machine"], "alternating_ring", "echo_machine"):
+                args += ["--candidates", machine_files[name]]
+        result = run_json(runner, args)["result"]
+        assert json.dumps(result, indent=2) == json.dumps(case["result"], indent=2)

@@ -25,7 +25,7 @@ from mealypred import (
     evaluate_exhaustive,
     evaluate_monte_carlo,
 )
-from mealypred.evaluation import _generic_totals, _lenient
+from mealypred.evaluation import _generic_totals, _lenient, _sweep_consistency
 from mealypred.machines import (
     alternating_ring,
     biased_unbiased_ring,
@@ -38,6 +38,16 @@ from mealypred.machines import (
 from mealypred.predictors import Predictor
 
 import oracles
+
+
+def _seeded(seed):
+    rng = random.Random(seed)
+    return random_machine(rng.randint(3, 8), rng)
+
+
+def _seeded_ensemble(seed):
+    rng = random.Random(seed)
+    return [random_machine(rng.randint(2, 5), rng) for _ in range(3)]
 
 
 class _FlipFlopPredictor(Predictor):
@@ -307,16 +317,65 @@ class TestMonteCarlo:
                 ):
                     self._assert_matches_loop(m, p, t)
 
-    @pytest.mark.parametrize("machine, predictor, t", [
-        # gcd-normalised rows still pass 2**62 near depth 62, so the
-        # counts widen to Python integers
-        (eight_state_example(), ConsistencyPredictor(eight_state_example()), 70),
-        # normalised rows stay small: three normalisations, all on int64
-        (biased_unbiased_ring(), ConsistencyPredictor(biased_unbiased_ring()), 200),
-        (delay_machine(), EnsemblePredictor([alternating_ring(), echo_machine(), delay_machine()]), 200),
-    ], ids=["widens", "stays-int64", "ensemble-stays-int64"])
-    def test_count_kernel_past_the_int64_bound(self, machine, predictor, t):
+    @pytest.mark.parametrize("machine, predictor, t, rung", [
+        # gcd-normalised at depth 52, the columns pass 2**52 again at once
+        # and move to int64, then pass 2**62 near depth 62, so the counts
+        # widen to Python integers
+        (eight_state_example(), ConsistencyPredictor(eight_state_example()), 70, "object"),
+        # normalised columns stay small: three normalisations, all on float64
+        (biased_unbiased_ring(), ConsistencyPredictor(biased_unbiased_ring()), 200, "float64"),
+        (delay_machine(), EnsemblePredictor([alternating_ring(), echo_machine(), delay_machine()]), 200, "float64"),
+        # seeded machines: one normalisation at 2**52 that stays on float64,
+        # columns that step onto int64, columns that reach Python integers
+        (_seeded(0), ConsistencyPredictor(_seeded(0)), 70, "float64"),
+        (_seeded(141), ConsistencyPredictor(_seeded(141)), 80, "int64"),
+        (_seeded(154), ConsistencyPredictor(_seeded(154)), 80, "object"),
+        (_seeded_ensemble(23)[0], EnsemblePredictor(_seeded_ensemble(23)), 80, "int64"),
+    ], ids=["widens", "stays-float64", "ensemble-stays-float64", "normalises-on-float64",
+            "int64-rung", "python-ints", "ensemble-int64-rung"])
+    def test_count_kernel_past_the_int64_bound(self, machine, predictor, t, rung, caplog):
+        caplog.set_level("DEBUG", logger="mealypred.evaluation")
         self._assert_matches_loop(machine, predictor, t)
+        line = [r.getMessage() for r in caplog.records if r.name == "mealypred.evaluation"][-1]
+        assert re.search(r"normalised at depths \[\d", line)
+        assert line.endswith(f"ended on {rung}")
+
+    def test_count_kernel_keeps_snapshots_past_float64_exact(self):
+        # Two states whose inputs all emit 1 and all emit 0: lean (+2, -2).
+        # From the counts (2**53 + 1, 2**53) the first guess is 1, but in
+        # float64 the first count rounds to 2**53 and the guess to 0. The
+        # kernel must start such columns on int64, never on float64.
+        pm = MealyMachine(2, ((0, 1), (1, 0)), ((1, 1), (0, 0)))
+        snap = (2**53 + 1, 2**53)
+        for m in (echo_machine(), pm, constant_machine(1)):
+            bits = np.random.default_rng(5).integers(0, 2, size=(40, 12), dtype=np.uint8)
+            p = ConsistencyPredictor(pm, strict=False)
+            p.restore(snap)
+            total, wc, step = _sweep_consistency(m, p, bits)
+            errs = []
+            for row in bits:  # exact Python-int reference
+                p.restore(snap)
+                s, wrong = m.initial_state, []
+                for b in row:
+                    o = m.output[s][b]
+                    wrong.append(p.predict() != o)
+                    p.observe(o)
+                    s = m.transition[s][b]
+                errs.append(wrong)
+            assert errs[0][0] == (m.output[m.initial_state][bits[0][0]] != 1)
+            assert step == [sum(col) for col in zip(*errs)]
+            assert (total, wc) == (sum(map(sum, errs)), max(map(sum, errs)))
+
+    def test_count_kernel_logs_its_normalisations(self, caplog):
+        # The constant machine's one count doubles every step, so it reaches
+        # the float64 limit 2**52 every 52 steps and its gcd brings it back to 1.
+        caplog.set_level("DEBUG", logger="mealypred.evaluation")
+        m = constant_machine(0)
+        evaluate_monte_carlo(m, ConsistencyPredictor(m), 200, 30, seed=2)
+        assert [r.getMessage() for r in caplog.records if r.name == "mealypred.evaluation"] == [
+            "count kernel, 30 samples, t=200: columns normalised at depths [52, 104, 156], "
+            "ended on float64"
+        ]
 
     def test_negative_seed_refused(self, echo):
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
