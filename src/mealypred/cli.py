@@ -331,15 +331,12 @@ def _render_human(report: dict, timestamps: bool) -> str:
         lines.append(f"machine: {m['path']} ({m['states']} states, id {m['id'][:16]})")
     lines.append("")
 
-    def emit(prefix: str, value):
-        if isinstance(value, dict):
-            for k, v in value.items():
-                if isinstance(v, dict):
-                    emit(f"{prefix}{k}.", v)
-                else:
-                    emit_kv(f"{prefix}{k}", v)
-        else:
-            emit_kv(prefix.rstrip("."), value)
+    def emit(prefix: str, value: dict):
+        for k, v in value.items():
+            if isinstance(v, dict):
+                emit(f"{prefix}{k}.", v)
+            else:
+                emit_kv(f"{prefix}{k}", v)
 
     def emit_kv(key: str, value):
         if isinstance(value, list) and value and isinstance(value[0], dict):

@@ -11,9 +11,16 @@ error is linear in them. So the engine walks the horizon depth by depth over
 pair: ``e_ave``, ``e_wc`` and the per-step errors come out exact for every
 predictor. A consistency or ensemble node is keyed by its count vector over
 the vector's gcd, so proportional vectors, which guess alike, share a node.
-The same pass, started from a training prefix's consistency profile, scores
-batch continuations. It needs only the ``snapshot``/``restore`` every
-predictor has, so there is no fallback path.
+It needs only the ``snapshot``/``restore`` every predictor has, so there is
+no fallback path. A walk whose frontier outgrows ``FRONTIER_BUDGET`` (node,
+state) pairs is refused with :class:`CapExceeded`.
+
+In the batch setting the consistent (input sequence, machine) pairs of
+training data are the count vector of one lenient ensemble of the candidate
+machines that has observed it, the *pool*: per candidate its pair count, per
+state of the candidates' disjoint union the pairs ending there. Batch
+selection scores each predictor with one walk over that union, started from
+the pool's counts, and search scores its candidates from the same vector.
 
 Monte Carlo estimates sample input sequences and run every built-in
 predictor through a vectorized numpy sweep at any horizon. Consistency and
@@ -30,8 +37,8 @@ costs two table lookups. Any other predictor, a subclass of a built-in one
 included, goes through a per-sequence loop.
 
 Predictors whose machine model is contradicted by an observation are scored
-leniently here: a dead model keeps emitting the tie-rule 0. This makes
-cross-machine scores and batch continuation scores well-defined.
+leniently here, by every engine: a dead model keeps emitting the tie-rule 0.
+This makes cross-machine scores and batch continuation scores well-defined.
 """
 
 from __future__ import annotations
@@ -64,7 +71,7 @@ _COUNTING = (ConsistencyPredictor, EnsemblePredictor)  # count vectors, keyed ov
 _FINITE = (KnownStatePredictor, ConstantPredictor, AutomatonPredictor)  # finitely many snapshots
 
 EXHAUSTIVE_T_CAP = 24
-PAIR_BUDGET_LOG2 = 26
+FRONTIER_BUDGET = 1 << 18  # (node, state) pairs of one depth; a few hundred bytes each
 
 
 class CapExceeded(RuntimeError):
@@ -298,6 +305,7 @@ def _frontier_totals(machine: MealyMachine, predictor: Predictor, t: int, start:
     sequence counts per state. They are the engine's own (a node's key
     rescales only the predictor's), so they stay exact. Errors are linear in
     them; an error at depth ``d`` stands for ``2**(t - d - 1)`` completions.
+    A frontier larger than ``FRONTIER_BUDGET`` pairs is refused.
     """
     nodes = _Nodes(machine, predictor)
     frontier = {s: (n, 0) for s, n in start.items() if n}
@@ -314,6 +322,11 @@ def _frontier_totals(machine: MealyMachine, predictor: Predictor, t: int, start:
         step[depth] = wrong << (t - depth - 1)
         frontier = nxt
         peak = max(peak, len(frontier))
+        if peak > FRONTIER_BUDGET:
+            raise CapExceeded(
+                f"exact walk frontier reached {peak} (node, state) pairs at depth "
+                f"{depth + 1}, over the budget of {FRONTIER_BUDGET}"
+            )
     predictor.restore(nodes.root)
     log.debug("exact walk, t=%d: %d nodes interned, peak frontier %d (node, state) pairs",
               t, len(nodes.keys), peak)
@@ -384,7 +397,8 @@ def evaluate_exhaustive(
 
     The predictor starts every sequence from its reset state. Horizons above
     ``cap`` are refused; raise the cap deliberately or use
-    :func:`evaluate_monte_carlo`.
+    :func:`evaluate_monte_carlo`. So is a walk whose frontier outgrows
+    ``FRONTIER_BUDGET`` (node, state) pairs at some depth.
     """
     if t < 1:
         raise ValueError("horizon must be at least 1")
@@ -433,17 +447,18 @@ def evaluate_monte_carlo(
     _check_informed(machine, predictor)
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=(samples, t), dtype=np.uint8)
-    predictor.reset()
-    if type(predictor) in _COUNTING:
-        total, wc, step = _sweep_consistency(machine, predictor, bits)
-    elif type(predictor) in _FINITE:
-        total, wc, step = _sweep_product(machine, predictor, bits)
-    else:
-        packed = (
-            int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-            for row in bits
-        )
-        total, wc, step = _generic_totals(machine, predictor, t, packed)
+    with _lenient(predictor):
+        predictor.reset()
+        if type(predictor) in _COUNTING:
+            total, wc, step = _sweep_consistency(machine, predictor, bits)
+        elif type(predictor) in _FINITE:
+            total, wc, step = _sweep_product(machine, predictor, bits)
+        else:
+            packed = (
+                int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+                for row in bits
+            )
+            total, wc, step = _generic_totals(machine, predictor, t, packed)
     return ErrorReport(
         machine_id=machine_id(machine),
         predictor_id=predictor.label,
@@ -462,14 +477,20 @@ def evaluate_monte_carlo(
 # ---------------------------------------------------------------------------
 # batch setting
 
+def _pool(machines: Sequence[MealyMachine], observed: Bits) -> EnsemblePredictor:
+    """The lenient ensemble of ``machines`` after ``observed``: its counts are
+    the consistent (input sequence, machine) pairs by end state of the union."""
+    pool = EnsemblePredictor(machines, strict=False)
+    for bit in observed:
+        if not pool.consistent:
+            break
+        pool.observe(bit)
+    return pool
+
+
 def consistency_profile(machine: MealyMachine, observed: Bits) -> tuple[int, ...]:
     """Per-state counts of input sequences consistent with an observed prefix."""
-    predictor = ConsistencyPredictor(machine, strict=False)
-    for bit in observed:
-        if not predictor.consistent:
-            break
-        predictor.observe(bit)
-    return predictor.consistency_vector
+    return _pool((machine,), observed).consistency_vector
 
 
 @dataclass(frozen=True)
@@ -548,11 +569,11 @@ def batch_select(
     """Pick the predictor with the least expected error on continuations.
 
     Every (input sequence, machine) pair able to produce the training data is
-    enumerated implicitly: per machine, the consistency profile of the
-    training data gives the count of such sequences per end state, and that
-    end state is where the machine resumes for the ``horizon - t``
-    continuation steps. Each predictor is scored with its post-training
-    knowledge; training errors are reported but play no part in the score.
+    enumerated implicitly: the training pool counts such pairs per end state
+    of the machines' disjoint union, and that end state is where the machine
+    resumes for the ``horizon - t`` continuation steps. Each predictor is
+    scored with its post-training knowledge by one exact walk over the union;
+    training errors are reported but play no part in the score.
 
     ``weighting="pairs"`` weights every consistent pair equally;
     ``weighting="machines"`` averages within each machine first, then across
@@ -560,38 +581,34 @@ def batch_select(
     """
     if weighting not in ("pairs", "machines"):
         raise ValueError(f"unknown weighting {weighting!r}")
-    t = len(problem.training)
-    delta = problem.horizon - t
-    if len(problem.machines) * (1 << delta) > (1 << PAIR_BUDGET_LOG2):
-        raise CapExceeded(
-            f"{len(problem.machines)} machines x 2**{delta} continuations "
-            f"exceeds the pair budget of 2**{PAIR_BUDGET_LOG2}"
-        )
-    profiles = [consistency_profile(m, problem.training) for m in problem.machines]
-    pair_counts = tuple(sum(p) for p in profiles)
+    delta = problem.horizon - len(problem.training)
+    pool = _pool(problem.machines, problem.training)
+    pair_counts = pool.pair_counts()
     if not any(pair_counts):
         raise InconsistentTrainingData(
             "no candidate machine can produce the training sequence"
         )
+    # Under "pairs" every consistent pair weighs 1; under "machines" each pair
+    # of a surviving machine weighs lcm / its pairs, so the machine weighs lcm.
+    weights, denom = [1] * len(pair_counts), delta << delta
+    if weighting == "machines":
+        alive = [n for n in pair_counts if n]
+        lcm = math.lcm(*alive)
+        weights = [lcm // n if n else 0 for n in pair_counts]
+        denom *= lcm * len(alive)
+    per_state = (w for m, w in zip(problem.machines, weights) for _ in range(m.num_states))
+    start = {s: c * w for s, (c, w) in enumerate(zip(pool.consistency_vector, per_state))}
 
-    denom = delta * (1 << delta)
     scores = []
     for idx, predictor in enumerate(problem.predictors):
-        if isinstance(predictor, KnownStatePredictor):
+        if type(predictor).inform_state is not Predictor.inform_state:
             raise TypeError("state-informed predictors cannot be scored in the batch setting")
         with _lenient(predictor):
             train_errors, died = _train_predictor(predictor, problem.training)
-            per_machine: list[Fraction] = []
-            for m, profile, pairs in zip(problem.machines, profiles, pair_counts):
-                if not pairs:
-                    continue
-                errors, _, _ = _frontier_totals(m, predictor, delta, dict(enumerate(profile)))
-                total = Fraction(errors, denom)
-                per_machine.append(total if weighting == "pairs" else total / pairs)
+            errors, _, _ = _frontier_totals(pool.machine, predictor, delta, start)
             predictor.reset()
-        score = sum(per_machine, Fraction(0)) / (len(per_machine) if weighting == "machines" else 1)
         scores.append(
-            PredictorScore(predictor.label, idx, score, train_errors, died)
+            PredictorScore(predictor.label, idx, Fraction(errors, denom), train_errors, died)
         )
 
     best = min(scores, key=lambda s: (s.score, s.index))
@@ -650,7 +667,7 @@ def find_selection_witness(
     for ln in range(1, max_training_len + 1):
         for value in range(1 << ln):
             training = Bits(value, ln)
-            candidates = {i for i, m in enumerate(machines) if any(consistency_profile(m, training))}
+            candidates = set(_pool(machines, training).alive())
             if not candidates:
                 continue
             for i, j in combinations(range(len(machines)), 2):

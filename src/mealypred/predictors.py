@@ -11,8 +11,11 @@ Every predictor offers ``snapshot``/``restore``, which exact evaluation
 requires. The model-tracking predictors share one count vector: the ensemble
 is the consistency predictor of the disjoint union of its candidates, and the
 consistency predictor reads its machine's tables alone, keeping per observed
-bit and state the successors of the inputs that emit that bit. A label that
-names a machine hashes it only when read.
+bit and state the successors of the inputs that emit that bit. The ensemble's
+``pair_counts`` sums its vector per candidate: a lenient ensemble that has
+observed training data is where evaluation and search read the consistent
+(input sequence, machine) pairs. A label that names a machine hashes it only
+when read.
 """
 
 from __future__ import annotations
@@ -238,9 +241,13 @@ class EnsemblePredictor(ConsistencyPredictor):
     def label(self) -> str:
         return f"ensemble-{len(self._members)}"
 
+    def pair_counts(self) -> tuple[int, ...]:
+        """Per candidate, the input sequences that produce the observed prefix."""
+        return tuple(sum(self._counts[a:b]) for a, b in self._blocks)
+
     def alive(self) -> tuple[int, ...]:
         """Indices of the candidates that can still produce the observed prefix."""
-        return tuple(i for i, (a, b) in enumerate(self._blocks) if any(self._counts[a:b]))
+        return tuple(i for i, n in enumerate(self.pair_counts()) if n)
 
     def observe(self, bit: int):
         before = self.alive() if log.isEnabledFor(logging.DEBUG) else ()

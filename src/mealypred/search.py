@@ -8,13 +8,16 @@ candidate, and the best exact scorer against the target machines wins.
 The candidates arrive as integer ``(next, out)`` tables from
 :func:`~mealypred.enumeration.machine_tables`, a chunk at a time, and every
 candidate of a chunk is scored at once (against large targets, in smaller
-batches that bound the memory). The targets are read as one disjoint
-union. The pass works backward from the horizon: a candidate's value at a
-(candidate state, pending guess, target state) triple is its error summed
-over every continuation from there, and one gather per depth advances the
-values of the whole batch. They do not depend on where the targets start,
-so a candidate's total is one dot product of the start vector with its
-values at its post-training state and pending guess. A leaderboard of the
+batches that bound the memory). The targets are read through their
+training pool (see :mod:`~mealypred.evaluation`): its machine is their
+disjoint union and its count vector, the consistent pairs per union state,
+is the start vector. The pass works backward from the horizon: a
+candidate's value at a (candidate state, pending guess, target state)
+triple is its error summed over every continuation from there, and one
+gather per depth advances the values of the whole batch. They do not depend
+on where the targets start, so a candidate's total is one dot product of
+the start vector with its values at its post-training state and pending
+guess. A plain search is a search after an empty prefix. A leaderboard of the
 best rows is carried from batch to batch, and only its rows become
 :class:`MealyMachine` objects.
 """
@@ -30,12 +33,7 @@ import numpy as np
 
 from .automaton import Bits, MealyMachine, machine_id, serialize_machine
 from .enumeration import CHUNK_ROWS, machine_tables
-from .evaluation import (
-    EXHAUSTIVE_T_CAP,
-    CapExceeded,
-    InconsistentTrainingData,
-    consistency_profile,
-)
+from .evaluation import EXHAUSTIVE_T_CAP, CapExceeded, InconsistentTrainingData, _pool
 
 log = logging.getLogger(__name__)
 
@@ -74,38 +72,70 @@ class SearchResult:
         }
 
 
-def _search(
+def search_best_predictor(
     targets: Sequence[MealyMachine],
-    starts: Sequence[dict[int, int]],
-    training: Bits,
     num_states: int,
     t: int,
-    denom: int,
-    top_n: int,
+    *,
+    top_n: int = 10,
+    cap: int = EXHAUSTIVE_T_CAP,
 ) -> SearchResult:
-    """Rank the canonical candidates once ``training`` has been fed to each.
+    """Best canonical ``num_states``-state predicting automaton for the targets.
 
-    Each target starts from its ``starts`` entry, the number of input
-    sequences per generator state, and a candidate's score is its total
-    error over ``denom``: the dot product of the start vector with the
-    candidate's backward values at its post-training state and pending
-    guess. Candidates arrive in serialization order and each batch is merged
-    into the carried leaderboard by a stable sort on the exact totals, so
-    ties break toward the least machine.
+    Each candidate's score is its exact average error at horizon ``t``, taken
+    uniformly across the target machines (the mean keeps scores in [0, 1]).
+    Ties break toward the lexicographically least machine, so results are
+    reproducible across runs. This is :func:`search_after_training` on an
+    empty training prefix, under the exhaustive horizon cap.
     """
-    k = num_states
-    start = [st.get(s, 0) for m, st in zip(targets, starts) for s in range(m.num_states)]
-    g = len(start)
+    if t < 1:
+        raise ValueError("horizon must be at least 1")
+    if t > cap:
+        raise CapExceeded(f"horizon {t} exceeds the exhaustive cap of {cap}")
+    return search_after_training(targets, num_states, Bits(0, 0), t, top_n=top_n)
+
+
+def search_after_training(
+    targets: Sequence[MealyMachine],
+    num_states: int,
+    training: Bits,
+    continuation: int,
+    *,
+    top_n: int = 10,
+) -> SearchResult:
+    """Best predicting automaton for continuations of observed training data.
+
+    Candidates walk through the training bits first; scoring then follows the
+    batch rule: every (input sequence, target) pair consistent with the
+    training data resumes its target at the pair's end state, and the
+    candidate's errors over all continuations of length ``continuation`` are
+    averaged with each pair weighted equally.
+
+    The training pool of the targets gives both sides: its count vector is
+    the start vector, and its machine, the targets' disjoint union, the
+    tables the values advance by. Candidates arrive in serialization order
+    and each batch is merged into the carried leaderboard by a stable sort on
+    the exact totals, so ties break toward the least machine.
+    """
+    if not targets:
+        raise ValueError("at least one target machine is required")
+    if continuation < 1:
+        raise ValueError("continuation length must be at least 1")
+    if top_n < 1:
+        raise ValueError("leaderboard size must be at least 1")
+    pool = _pool(targets, training)
+    start = pool.consistency_vector
+    if not any(start):
+        raise InconsistentTrainingData(
+            "no target machine can produce the training sequence"
+        )
+    k, t, g = num_states, continuation, len(start)
     # A value is at most t * 2**t and a total at most sum(start) times that;
     # each is held in int64 while its bound fits and in Python integers past it.
     dtype = np.int64 if t << t < 1 << 63 else object
     weights = np.array(start, dtype=np.int64 if sum(start) * t << t < 1 << 63 else object)
-    # The targets as one disjoint union of g states: input i in state x
-    # emits bit emit[x, i] and moves to state succ[x, i].
-    offsets = np.cumsum([0] + [m.num_states for m in targets])
-    emit = np.array([m.output[x] for m in targets for x in range(m.num_states)])
-    succ = np.array([[at + y for y in m.transition[x]]
-                     for m, at in zip(targets, offsets) for x in range(m.num_states)])
+    # input i in union state x emits bit emit[x, i] and moves to state succ[x, i]
+    emit, succ = np.array(pool.machine.output), np.array(pool.machine.transition)
     # miss[p, x]: the inputs on which a pending guess p misses in state x
     emits_one = emit.sum(axis=1)
     miss = np.array([emits_one, 2 - emits_one]).astype(dtype)
@@ -142,6 +172,7 @@ def _search(
         space += n
         batches += 1
     log.debug("%d candidates scored, batches: %d", space, batches)
+    denom = sum(start) * t << t
     leaderboard = tuple(
         (MealyMachine(k, trans, outs, 0), Fraction(total, denom))
         for trans, outs, total in zip(board_next.tolist(), board_out.tolist(), board.tolist())
@@ -157,63 +188,3 @@ def _search(
         horizon=t,
         target_ids=tuple(machine_id(m) for m in targets),
     )
-
-
-def search_best_predictor(
-    targets: Sequence[MealyMachine],
-    num_states: int,
-    t: int,
-    *,
-    top_n: int = 10,
-    cap: int = EXHAUSTIVE_T_CAP,
-) -> SearchResult:
-    """Best canonical ``num_states``-state predicting automaton for the targets.
-
-    Each candidate's score is its exact average error at horizon ``t``, taken
-    uniformly across the target machines (the mean keeps scores in [0, 1]).
-    Ties break toward the lexicographically least machine, so results are
-    reproducible across runs. This is :func:`search_after_training` on an
-    empty training prefix, under the exhaustive horizon cap.
-    """
-    if not targets:
-        raise ValueError("at least one target machine is required")
-    if t < 1:
-        raise ValueError("horizon must be at least 1")
-    if top_n < 1:
-        raise ValueError("leaderboard size must be at least 1")
-    if t > cap:
-        raise CapExceeded(f"horizon {t} exceeds the exhaustive cap of {cap}")
-    return search_after_training(targets, num_states, Bits(0, 0), t, top_n=top_n)
-
-
-def search_after_training(
-    targets: Sequence[MealyMachine],
-    num_states: int,
-    training: Bits,
-    continuation: int,
-    *,
-    top_n: int = 10,
-) -> SearchResult:
-    """Best predicting automaton for continuations of observed training data.
-
-    Candidates walk through the training bits first; scoring then follows the
-    batch rule: every (input sequence, target) pair consistent with the
-    training data resumes its target at the pair's end state, and the
-    candidate's errors over all continuations of length ``continuation`` are
-    averaged with each pair weighted equally.
-    """
-    if not targets:
-        raise ValueError("at least one target machine is required")
-    if continuation < 1:
-        raise ValueError("continuation length must be at least 1")
-    if top_n < 1:
-        raise ValueError("leaderboard size must be at least 1")
-    profiles = [consistency_profile(m, training) for m in targets]
-    pair_total = sum(sum(p) for p in profiles)
-    if pair_total == 0:
-        raise InconsistentTrainingData(
-            "no target machine can produce the training sequence"
-        )
-    starts = [dict(enumerate(p)) for p in profiles]
-    denom = pair_total * continuation * (1 << continuation)
-    return _search(targets, starts, training, num_states, continuation, denom, top_n)

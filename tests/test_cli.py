@@ -278,6 +278,21 @@ class TestEnumerateCmd:
         assert report["result"]["count"] == 4
         assert len(report["result"]["machines"]) == 4
 
+    def test_human_replay_of_json_report(self, runner, tmp_path):
+        # the machines, a list of multiline strings, print one block each
+        path = tmp_path / "enumerate.json"
+        made = runner.invoke(main, ["enumerate", "-k", "1", "--format", "json", "--out", str(path)])
+        assert made.exit_code == 0, made.output
+        result = runner.invoke(main, ["replay", str(path)])
+        assert result.exit_code == 0, result.output
+        lines = result.output.splitlines()
+        assert lines[0].endswith(" :: enumerate")
+        assert lines[1:11] == ["", "mode: canonical", "k: 1", "count: 4", "machines[0]:",
+                               "mealy 1", "initial 0", "0 0 -> 0 0", "0 1 -> 0 0", ""]
+        assert [line for line in lines if line.startswith("machines[")] == [
+            f"machines[{i}]:" for i in range(4)
+        ]
+
     def test_cap_refusal(self, runner):
         result = runner.invoke(main, ["enumerate", "-k", "6", "--count-only"])
         assert result.exit_code == 3
@@ -301,16 +316,28 @@ class TestBatchSelectCmd:
         )
         assert report["result"]["best_label"] == "always-0"
 
-    def test_pair_budget_refused(self, runner, files):
+    @pytest.mark.parametrize("uniform", [[], ["--machine-uniform"]], ids=["pairs", "machines"])
+    def test_long_continuation_selects(self, runner, files, uniform):
+        report = run_json(
+            runner,
+            ["batch-select", "--candidates", files["const0"], "--candidates",
+             files["const1"], "--training", "0", "--horizon", "40"] + uniform,
+        )
+        assert report["result"]["best_label"] == "always-0"
+        assert report["result"]["continuation"] == 39
+
+    def test_frontier_budget_refused(self, runner, files, monkeypatch):
+        monkeypatch.setattr("mealypred.evaluation.FRONTIER_BUDGET", 20)
         result = runner.invoke(
             main,
-            ["batch-select", "--candidates", files["const0"], "--candidates",
-             files["const1"], "--training", "0", "--horizon", "27"],
+            ["batch-select", "--candidates", files["demo8"], "--candidates",
+             files["altring"], "--training", "0", "--horizon", "12"],
         )
         assert result.exit_code == 3
         assert result.stdout == ""
         assert result.stderr.splitlines() == [
-            "refused: 2 machines x 2**26 continuations exceeds the pair budget of 2**26"
+            "refused: exact walk frontier reached 23 (node, state) pairs at depth 7, "
+            "over the budget of 20"
         ]
 
 
@@ -321,6 +348,17 @@ class TestSearchCmd:
         )
         assert report["result"]["best_score_float"] <= 0.125
         assert "mealy 2" in report["result"]["best_machine"]
+
+    def test_human_report(self, runner, files):
+        result = runner.invoke(
+            main, ["search", "--target", files["altring"], "-k", "1", "-t", "4", "--top", "2"]
+        )
+        assert result.exit_code == 0, result.output
+        lines = result.output.splitlines()
+        assert "best_score: 1/4" in lines and "leaderboard[1].score: 1/2" in lines
+        # a multiline string follows its key on lines of its own
+        at = lines.index("best_machine:")
+        assert lines[at + 1:at + 6] == ["mealy 1", "initial 0", "0 0 -> 0 1", "0 1 -> 0 0", ""]
 
     @pytest.mark.parametrize("training", ["", "@{tmp}/empty.txt"])
     def test_empty_training_scores_continuations(self, runner, files, tmp_path, training):

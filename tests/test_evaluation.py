@@ -178,6 +178,16 @@ class TestExhaustive:
         with pytest.raises(ValueError, match="has 2 states, fewer than the generator's 4"):
             evaluate_exhaustive(generator, KnownStatePredictor(small), 6)
 
+    def test_frontier_budget_refused(self, monkeypatch):
+        # the walk's frontier peaks at 46 (node, state) pairs, at depth 12
+        m = eight_state_example()
+        monkeypatch.setattr("mealypred.evaluation.FRONTIER_BUDGET", 46)
+        assert evaluate_exhaustive(m, ConsistencyPredictor(m), 12).e_ave == Fraction(719, 16384)
+        monkeypatch.setattr("mealypred.evaluation.FRONTIER_BUDGET", 45)
+        with pytest.raises(CapExceeded, match=r"^exact walk frontier reached 46 \(node, state\) "
+                                              r"pairs at depth 12, over the budget of 45$"):
+            evaluate_exhaustive(m, ConsistencyPredictor(m), 12)
+
 
 def _union_rule(members, t):
     """The consistency guess over the disjoint union of ``members`` as a
@@ -387,6 +397,19 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="has 2 states, fewer than the generator's 4"):
             evaluate_monte_carlo(generator, KnownStatePredictor(small), 6, 50)
 
+    @pytest.mark.parametrize("base, model", [
+        (ConsistencyPredictor, constant_machine(0)),
+        (EnsemblePredictor, [constant_machine(0)]),
+    ])
+    def test_strict_subclass_scored_leniently(self, base, model):
+        # the subclass takes the per-sequence loop; its model dies at the
+        # first bit and keeps guessing 0, as in exhaustive evaluation
+        p = type("Sub", (base,), {})(model)
+        target = constant_machine(1)
+        assert evaluate_exhaustive(target, p, 6).e_ave == 1
+        assert evaluate_monte_carlo(target, p, 6, 10).e_ave == 1.0
+        assert p.strict
+
 
 class TestPredictorMachineError:
     def test_constant_predictor_on_opposite_machine(self, const1):
@@ -469,9 +492,13 @@ class TestBatchSelect:
             assert both.pair_counts[0] == 0
             assert [s.score for s in both.scores] == [s.score for s in ring.scores]
 
-    def test_scores_match_explicit_pair_enumeration(self):
+    @pytest.mark.parametrize("weighting", ["pairs", "machines"])
+    def test_scores_match_explicit_pair_enumeration(self, weighting):
         # independent route: enumerate consistent (input, machine) pairs one
-        # by one and average each predictor's continuation errors directly
+        # by one and average each predictor's continuation errors directly.
+        # "pairs" sums these averages over every pair; "machines" is the
+        # mean, over the machines with a pair, of each machine's average
+        # over its pairs
         rng = random.Random(14)
         checked = 0
         while checked < 6:
@@ -487,16 +514,18 @@ class TestBatchSelect:
                 horizon=horizon,
                 predictors=default_batch_predictors(machines),
             )
-            sel = batch_select(problem)
+            sel = batch_select(problem, weighting=weighting)
             delta = horizon - t
             for score in sel.scores:
                 p = problem.predictors[score.index]
-                expected = Fraction(0)
+                per_machine = []
                 for m in machines:
+                    total, pairs = Fraction(0), 0
                     for g in range(1 << t):
                         outs, path = oracles.simulate(m, g, t)
                         if outs != list(training):
                             continue
+                        pairs += 1
                         # continuation: machine resumes at the pair's end state
                         for h in range(1 << delta):
                             with _lenient(p):
@@ -511,7 +540,13 @@ class TestBatchSelect:
                                     errs += int(p.predict() != o)
                                     p.observe(o)
                                     s = m.transition[s][b]
-                            expected += Fraction(errs, delta * (1 << delta))
+                            total += Fraction(errs, delta * (1 << delta))
+                    if pairs:
+                        per_machine.append((total, pairs))
+                if weighting == "pairs":
+                    expected = sum(total for total, _ in per_machine)
+                else:
+                    expected = sum(total / n for total, n in per_machine) / len(per_machine)
                 assert score.score == expected
             checked += 1
 
@@ -533,15 +568,21 @@ class TestBatchSelect:
         for s in uniform.scores:
             assert 0 <= s.score <= 1
 
-    def test_pair_budget_refused(self, const0, const1):
+    def test_frontier_budget_refused(self, const0, const1, monkeypatch):
+        # two machines x 2**26 continuations: one walk per predictor over a
+        # frontier of one (node, state) pair
         machines = (const0, const1)
-        over = BatchProblem(machines, Bits.from_string("0"), 27, default_batch_predictors(machines))
-        with pytest.raises(CapExceeded, match=r"2 machines x 2\*\*26 continuations exceeds "
-                                              r"the pair budget of 2\*\*26"):
-            batch_select(over)
-        # exactly 2**26 pairs is within the budget
-        within = BatchProblem((const0,), Bits.from_string("0"), 27, default_batch_predictors((const0,)))
-        assert batch_select(within).continuation == 26
+        long = BatchProblem(machines, Bits.from_string("0"), 27, default_batch_predictors(machines))
+        sel = batch_select(long)
+        assert (sel.best_label, sel.continuation, sel.pair_counts) == ("always-0", 26, (2, 0))
+        # the consistency predictor of eight_state_example walks the union of
+        # it and the ring to 23 pairs at depth 7
+        machines = (eight_state_example(), alternating_ring())
+        wide = BatchProblem(machines, Bits.from_string("0"), 12, default_batch_predictors(machines))
+        monkeypatch.setattr("mealypred.evaluation.FRONTIER_BUDGET", 20)
+        with pytest.raises(CapExceeded, match=r"^exact walk frontier reached 23 \(node, state\) "
+                                              r"pairs at depth 7, over the budget of 20$"):
+            batch_select(wide)
 
     def test_known_state_rejected(self, const0):
         problem = BatchProblem(
@@ -551,6 +592,17 @@ class TestBatchSelect:
             predictors=(KnownStatePredictor(const0),),
         )
         with pytest.raises(TypeError):
+            batch_select(problem)
+
+    def test_foreign_state_informed_rejected(self, const0):
+        # the walk runs over the candidates' union, whose state numbers are
+        # no machine's own, so any predictor that reads states is refused
+        class _Informed(_FlipFlopPredictor):
+            def inform_state(self, state):
+                self._next = state % 2
+
+        problem = BatchProblem((const0,), Bits.from_string("00"), 6, (_Informed(),))
+        with pytest.raises(TypeError, match="state-informed predictors cannot be scored"):
             batch_select(problem)
 
     def test_selection_ignores_training_error(self):

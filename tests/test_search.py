@@ -10,6 +10,7 @@ import mealypred.predictors
 from mealypred import (
     AutomatonPredictor,
     Bits,
+    CapExceeded,
     ConsistencyPredictor,
     InconsistentTrainingData,
     MealyMachine,
@@ -131,6 +132,14 @@ class TestSearch:
         with pytest.raises(ValueError):
             search_best_predictor([], 1, 8)
 
+    @pytest.mark.parametrize("t, error, message", [
+        (0, ValueError, "horizon must be at least 1"),
+        (9, CapExceeded, "horizon 9 exceeds the exhaustive cap of 8"),
+    ])
+    def test_rejects_bad_horizon(self, alt_ring, t, error, message):
+        with pytest.raises(error, match=message):
+            search_best_predictor([alt_ring], 1, t, cap=8)
+
 
 class TestAfterTraining:
     def test_continuation_scoring(self, alt_ring):
@@ -145,6 +154,16 @@ class TestAfterTraining:
         alone = search_after_training([alt_ring], 2, training, 3)
         assert res.best_score == 0
         assert res.leaderboard == alone.leaderboard
+
+    @pytest.mark.parametrize("no_targets, continuation, top_n, message", [
+        (True, 3, 10, "at least one target machine is required"),
+        (False, 0, 10, "continuation length must be at least 1"),
+        (False, 3, 0, "leaderboard size must be at least 1"),
+    ])
+    def test_rejects_bad_arguments(self, alt_ring, no_targets, continuation, top_n, message):
+        targets = [] if no_targets else [alt_ring]
+        with pytest.raises(ValueError, match=message):
+            search_after_training(targets, 1, Bits.from_string("01"), continuation, top_n=top_n)
 
     def test_inconsistent_training_refused(self, const0):
         with pytest.raises(InconsistentTrainingData):
