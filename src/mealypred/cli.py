@@ -2,29 +2,34 @@
 
 Every subcommand resolves its inputs into a plain config dictionary, executes
 it through a shared dispatcher, and embeds the resolved config in the report,
-so any report can be re-run bit-for-bit with ``mealypred replay``. Structured
-output is JSON with stable field order; exact rationals appear as "num/den"
-strings. Presentation details (output format, timestamps) are not part of the
-config. ``evaluate``, ``search`` and ``replay`` accept ``--workers`` for
-compatibility and ignore it: every command runs in one process. ``-v``
-before the subcommand sends the package's debug log to stderr; reports do
-not change.
+so any report can be re-run bit-for-bit with ``mealypred replay``. Each config
+field is declared once, in ``_FIELDS``: its key, option spellings, JSON type,
+default per command, and the default cap past which it needs
+``--i-know-this-is-big``. The argparse parsers (built once per process),
+replay's type checks and the cap checks of every command and of replay all
+come from that table. Structured output is JSON with stable field order;
+exact rationals appear as "num/den" strings. Presentation details (output
+format, timestamps) are not part of the config. ``evaluate``, ``search`` and
+``replay`` accept ``--workers`` for compatibility and ignore it: every command
+runs in one process. ``-v`` before the subcommand sends the package's debug
+log to stderr; reports do not change.
 
 Exit codes: 0 success, 2 usage, parse, file or output error, 3 cap refusal
 or a request too large to allocate, 4 data inconsistent with every assumed
-machine. :class:`_Main` maps failures to them for every subcommand.
+machine. :func:`_run` maps failures to them for every subcommand.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import datetime
+import functools
 import json
 import logging
+import os
 import sys
-from fractions import Fraction
-
-import click
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .automaton import (
@@ -90,15 +95,13 @@ def _load_machine(path: str) -> MealyMachine:
         raise MachineFormatError(f"{path}: {e}")
 
 
-def _parse_bits(text: str) -> Bits:
+def _parse_bits(text: str) -> str:
+    """The bits an option names ('-' stdin, '@FILE' a file), as a config string."""
     if text == "-":
         text = sys.stdin.read()
     elif text.startswith("@"):
         text = _read_text(text[1:])
-    try:
-        return Bits.from_string(text)
-    except ValueError as e:
-        raise click.UsageError(str(e))
+    return str(Bits.from_string(text))
 
 
 def _machine_entry(path: str, machine: MealyMachine) -> dict:
@@ -107,14 +110,14 @@ def _machine_entry(path: str, machine: MealyMachine) -> dict:
 
 def _build_predictor(kind, machine, predictor_machine, candidates):
     if candidates and kind != "ensemble":
-        raise click.UsageError(f"--candidates applies only to --predictor ensemble, not {kind}")
+        raise ValueError(f"--candidates applies only to --predictor ensemble, not {kind}")
     if predictor_machine is not None and kind in ("always-0", "always-1", "ensemble"):
-        raise click.UsageError(f"--predictor {kind} takes no --predictor-machine")
+        raise ValueError(f"--predictor {kind} takes no --predictor-machine")
     if kind == "consistency":
         return ConsistencyPredictor(predictor_machine or machine)
     if kind == "known-state":
         if predictor_machine is not None and predictor_machine != machine:
-            raise click.UsageError("known-state prediction is tied to the generator machine")
+            raise ValueError("known-state prediction is tied to the generator machine")
         return KnownStatePredictor(machine)
     if kind == "always-0":
         return ConstantPredictor(0)
@@ -122,13 +125,13 @@ def _build_predictor(kind, machine, predictor_machine, candidates):
         return ConstantPredictor(1)
     if kind == "automaton":
         if predictor_machine is None:
-            raise click.UsageError("--predictor automaton requires --predictor-machine")
+            raise ValueError("--predictor automaton requires --predictor-machine")
         return AutomatonPredictor(predictor_machine)
     if kind == "ensemble":
         if not candidates:
-            raise click.UsageError("--predictor ensemble requires --candidates")
+            raise ValueError("--predictor ensemble requires --candidates")
         return EnsemblePredictor(candidates)
-    raise click.UsageError(f"unknown predictor {kind!r}")
+    raise ValueError(f"unknown predictor {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +344,7 @@ def _render_human(report: dict, timestamps: bool) -> str:
     def emit_kv(key: str, value):
         if isinstance(value, list) and value and isinstance(value[0], dict):
             for i, item in enumerate(value):
-                for k, v in item.items():
-                    lines.append(f"{key}[{i}].{k}: {v}")
+                emit(f"{key}[{i}].", item)
         elif isinstance(value, list) and any(
             isinstance(v, str) and "\n" in v for v in value
         ):
@@ -374,49 +376,134 @@ def _run_command(config: dict, fmt: str, out: str | None, timestamps: bool):
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
 
 
-def _format_options(fn):
-    fn = click.option(
-        "--format", "fmt", type=click.Choice(["human", "json"]), default="human",
-        show_default=True, help="Report format.",
-    )(fn)
-    fn = click.option("--out", type=str, default=None, help="Write the report to a file.")(fn)
-    fn = click.option(
-        "--timestamps", is_flag=True, default=False,
-        help="Include a timestamp in human output.",
-    )(fn)
-    return fn
+def _stream_enumeration(config: dict, out: str | None):
+    """Human ``enumerate``: one machine per blank-line separated record, or
+    the bare count, without a report wrapper."""
+    k, mode, cap = config["k"], config["mode"], config.get("cap_k")
+    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as sink:
+        if config["count_only"]:
+            sink.write(f"{count_machines(k, mode, cap=cap)}\n")
+        else:
+            for machine in enumerate_machines(k, mode, cap=cap):
+                sink.write(serialize_machine(machine))
+                sink.write("\n")
 
 
-_workers_option = click.option(
-    "--workers", type=int, default=1, show_default=True,
-    help="Accepted for compatibility; ignored, every command runs in one process.",
+# ---------------------------------------------------------------------------
+# the field table: options, replay checks and caps
+
+_REQUIRED = object()  # a default meaning "the option must be given"
+
+
+def _on(*commands: str, default=_REQUIRED) -> dict:
+    return dict.fromkeys(commands, default)
+
+
+class _Field(NamedTuple):
+    """One config field. ``defaults`` maps each command that writes the field
+    to its default; a default of False makes the option a flag. ``choices``
+    maps an option value to its config value. A field enters the config when
+    ``keep(config so far, value)`` holds. ``cap(config)`` is the default cap
+    a value may exceed only with ``--i-know-this-is-big``."""
+
+    key: str
+    flags: tuple[str, ...]
+    type: type  # in the config: int, str, bool or list (of strings)
+    defaults: dict
+    help: str = ""
+    choices: dict | None = None
+    bits: bool = False  # a bit string: '-' reads stdin, '@FILE' a file
+    keep: Callable[[dict, object], bool] = lambda config, value: value is not None
+    cap: Callable[[dict], int] | None = None
+
+
+_PREDICTORS = ("consistency", "known-state", "always-0", "always-1", "automaton", "ensemble")
+
+# In config order: every command writes its fields in this order.
+_FIELDS = (
+    _Field("machine", ("-m", "--machine"), str, _on("run", "analyze", "predict", "evaluate"),
+           "Machine file ('-' for stdin)."),
+    _Field("targets", ("--target",), list, _on("search"), "Target machine files (repeatable)."),
+    _Field("input", ("--input",), str, _on("run", "predict"),
+           "Input bits ('-' stdin, '@FILE' from file).", bits=True),
+    _Field("predictor", ("--predictor",), str, _on("predict", "evaluate", default="consistency"),
+           choices=dict(zip(_PREDICTORS, _PREDICTORS))),
+    _Field("k", ("-k", "--states"), int, _on("enumerate", "search"),
+           "State count (in search, the predictor's budget)."),
+    _Field("t", ("-t", "--horizon"), int, {"evaluate": _REQUIRED, "search": 10}, "Sequence length."),
+    _Field("method", ("--method",), str, _on("evaluate", default="exhaustive"),
+           choices={"exhaustive": "exhaustive", "monte-carlo": "monte_carlo"}),
+    _Field("mode", ("--mode",), str, _on("enumerate", default="canonical"),
+           choices={"raw": "raw", "canonical": "canonical", "strongly-connected": "strongly_connected"}),
+    _Field("top_n", ("--top",), int, _on("search", default=10), "Leaderboard length."),
+    _Field("cap_t", ("--cap-t",), int, _on("evaluate", "search", default=EXHAUSTIVE_T_CAP),
+           "Exhaustive horizon cap; raising it needs --i-know-this-is-big.",
+           cap=lambda config: EXHAUSTIVE_T_CAP),
+    _Field("per_step", ("--per-step",), bool, _on("evaluate", default=False),
+           "Include per-step error averages."),
+    _Field("count_only", ("--count-only",), bool, _on("enumerate", default=False),
+           "Print only the count."),
+    _Field("cap_k", ("--cap-k",), int, _on("enumerate", default=None),
+           f"State-count cap (default: raw {RAW_K_CAP}, canonical {CANONICAL_K_CAP}); "
+           "raising it needs --i-know-this-is-big.",
+           cap=lambda config: RAW_K_CAP if config.get("mode") == "raw" else CANONICAL_K_CAP),
+    _Field("predictor_machine", ("--predictor-machine",), str,
+           _on("predict", "evaluate", default=None),
+           "Machine the predictor assumes (defaults to the generator).", keep=lambda config, value: bool(value)),
+    _Field("candidates", ("--candidates",), list,
+           {"predict": None, "evaluate": None, "batch-select": _REQUIRED},
+           "Candidate machine files (repeatable).", keep=lambda config, value: bool(value)),
+    _Field("training", ("--training",), str, _on("batch-select"),
+           "Observed training bits.", bits=True),
+    _Field("horizon", ("--horizon",), int, _on("batch-select"),
+           "Total horizon T (> training length)."),
+    _Field("weighting", ("--machine-uniform",), str, _on("batch-select", default=False),
+           "Weight machines equally instead of (sequence, machine) pairs.",
+           choices={False: "pairs", True: "machines"}),
+    _Field("samples", ("--samples",), int, _on("evaluate", default=10000),
+           "Monte Carlo sample count.",
+           keep=lambda config, value: config["method"] == "monte_carlo"),
+    _Field("seed", ("--seed",), int, _on("evaluate", default=0), "Monte Carlo seed.",
+           keep=lambda config, value: config["method"] == "monte_carlo"),
+    _Field("after_training", ("--after-training",), str, _on("search", default=None),
+           "Observed training bits; score continuations instead.", bits=True),
+    _Field("continuation", ("--continuation",), int, _on("search", default=4),
+           "Continuation length used with --after-training.",
+           keep=lambda config, value: "after_training" in config),
 )
 
+_JSON_TYPES = {int: "an integer", str: "a string", bool: "a boolean", list: "a list of strings"}
 
-def _check_cap(what: str, cap_t: int, big_ok: bool) -> None:
-    if cap_t > EXHAUSTIVE_T_CAP and not big_ok:
-        raise click.UsageError(
-            f"{what} {cap_t} exceeds the default {EXHAUSTIVE_T_CAP}; "
-            "acknowledge with --i-know-this-is-big"
-        )
+_COMMANDS = {
+    "run": "Feed an input sequence to a machine; print outputs and the state path.",
+    "analyze": "State classes, adjacency, exact stationary frequencies, and the error floor.",
+    "predict": "Run a predictor online against one generated sequence.",
+    "evaluate": "Average/worst-case prediction error, exact or sampled.",
+    "batch-select": "Choose the predictor with the least expected continuation error.",
+    "enumerate": "Stream machine serializations (or just count them), one record each.",
+    "search": "Exhaustively find the best k-state predicting automaton.",
+    "replay": "Re-run an experiment from a config file or a previous report.",
+}
+_CAPPED = {c for f in _FIELDS if f.cap for c in f.defaults} | {"replay"}
+_IGNORE_WORKERS = ("evaluate", "search", "replay")
 
 
-# Config fields by JSON type, and the evaluation methods, as every command
-# writes them; a replayed config is checked against both.
-_FIELD_TYPES = (
-    ("an integer", lambda v: type(v) is int,
-     ("t", "cap_t", "samples", "seed", "k", "top_n", "continuation", "horizon", "cap_k")),
-    ("a string", lambda v: type(v) is str,
-     ("machine", "input", "predictor", "predictor_machine", "training",
-      "after_training", "weighting", "mode")),
-    ("a boolean", lambda v: type(v) is bool, ("per_step", "count_only")),
-    ("a list of strings", lambda v: type(v) is list and all(type(x) is str for x in v),
-     ("candidates", "targets")),
-)
-_METHODS = ("exhaustive", "monte_carlo")
+def _config(command: str, args: argparse.Namespace) -> dict:
+    """The config of a parsed command line."""
+    config = {"command": command}
+    for f in _FIELDS:
+        if command in f.defaults:
+            value = getattr(args, f.key)
+            if f.choices is not None:
+                value = f.choices[value]
+            elif f.bits and value is not None:
+                value = _parse_bits(value)
+            if f.keep(config, value):
+                config[f.key] = value
+    return config
 
 
 def _config_problem(config) -> str | None:
@@ -427,254 +514,162 @@ def _config_problem(config) -> str | None:
     command = config.get("command")
     if not isinstance(command, str) or command not in _EXECUTORS:
         return "not a replayable config"
-    for kind, ok, fields in _FIELD_TYPES:
-        for field in fields:
-            if field in config and not ok(config[field]):
-                return f"{field!r} must be {kind}, not {config[field]!r}"
-    if "method" in config and config["method"] not in _METHODS:
-        return f"unknown method {config['method']!r}; expected one of {_METHODS}"
+    for f in _FIELDS:
+        if f.key not in config:
+            continue
+        value = config[f.key]
+        if type(value) is not f.type or (f.type is list and any(type(x) is not str for x in value)):
+            return f"{f.key!r} must be {_JSON_TYPES[f.type]}, not {value!r}"
+        if f.choices is not None and value not in f.choices.values():
+            return f"unknown {f.key} {value!r}; expected one of {tuple(f.choices.values())}"
     return None
 
 
-_PREDICTOR_CHOICES = click.Choice(
-    ["consistency", "known-state", "always-0", "always-1", "automaton", "ensemble"]
-)
+def _check_caps(config: dict, big_ok: bool, source: str | None = None) -> None:
+    """Refuse a cap past its default unless acknowledged; ``source`` names a
+    replayed file, else the option is named."""
+    for f in _FIELDS:
+        if f.cap is not None and f.key in config and not big_ok:
+            limit = f.cap(config)
+            if config[f.key] > limit:
+                what = f"{source}: {f.key}" if source else f.flags[-1]
+                raise ValueError(f"{what} {config[f.key]} exceeds the default {limit}; "
+                                 "acknowledge with --i-know-this-is-big")
 
 
-class _Main(click.Group):
-    """The command group; maps the failures of argument parsing, execution
-    and output to the documented exit codes, without a traceback."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except (InconsistentObservation, InconsistentTrainingData) as e:
-            click.echo(f"inconsistent data: {e}", err=True)
-            sys.exit(EXIT_INCONSISTENT)
-        except (CapExceeded, MemoryError) as e:
-            click.echo(f"refused: {e}", err=True)
-            sys.exit(EXIT_CAP)
-        except BrokenPipeError:
-            raise  # click exits quietly when the reader closes the pipe
-        except (MachineFormatError, ValueError, OSError) as e:
-            click.echo(f"error: {e}", err=True)
-            sys.exit(EXIT_USAGE)
-
-
-@click.group(cls=_Main)
-@click.version_option(version=__version__, prog_name="mealypred")
-@click.option("-v", "--verbose", is_flag=True, default=False,
-              help="Log debug messages (search and exact-walk counters among them) to stderr.")
-@click.pass_context
-def main(ctx, verbose):
-    """Study prediction of bit sequences generated by finite-state machines."""
-    if verbose:
-        logger = logging.getLogger("mealypred")
-        handler = logging.StreamHandler(sys.stderr)
-        handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
-        level = logger.level
-        logger.addHandler(handler)
-        logger.setLevel(logging.DEBUG)
-
-        def unhook():
-            logger.removeHandler(handler)
-            logger.setLevel(level)
-
-        ctx.call_on_close(unhook)
-
-
-@main.command("run")
-@click.option("-m", "--machine", "machine_path", required=True, help="Machine file ('-' for stdin).")
-@click.option("--input", "input_bits", required=True, help="Input bits ('-' stdin, '@FILE' from file).")
-@_format_options
-def cmd_run(machine_path, input_bits, fmt, out, timestamps):
-    """Feed an input sequence to a machine; print outputs and the state path."""
-    bits = _parse_bits(input_bits)
-    config = {"command": "run", "machine": machine_path, "input": str(bits)}
-    _run_command(config, fmt, out, timestamps)
-
-
-@main.command("analyze")
-@click.option("-m", "--machine", "machine_path", required=True)
-@_format_options
-def cmd_analyze(machine_path, fmt, out, timestamps):
-    """State classes, adjacency, exact stationary frequencies, and the error floor."""
-    config = {"command": "analyze", "machine": machine_path}
-    _run_command(config, fmt, out, timestamps)
-
-
-@main.command("predict")
-@click.option("-m", "--machine", "machine_path", required=True, help="Generator machine file.")
-@click.option("--input", "input_bits", required=True, help="Generator input bits.")
-@click.option("--predictor", type=_PREDICTOR_CHOICES, default="consistency", show_default=True)
-@click.option("--predictor-machine", type=str, default=None,
-              help="Machine the predictor assumes (defaults to the generator).")
-@click.option("--candidates", type=str, multiple=True, help="Candidate machines for ensemble prediction.")
-@_format_options
-def cmd_predict(machine_path, input_bits, predictor, predictor_machine, candidates, fmt, out, timestamps):
-    """Run a predictor online against one generated sequence."""
-    bits = _parse_bits(input_bits)
-    config = {
-        "command": "predict",
-        "machine": machine_path,
-        "input": str(bits),
-        "predictor": predictor,
-    }
-    if predictor_machine:
-        config["predictor_machine"] = predictor_machine
-    if candidates:
-        config["candidates"] = list(candidates)
-    _run_command(config, fmt, out, timestamps)
-
-
-@main.command("evaluate")
-@click.option("-m", "--machine", "machine_path", required=True)
-@click.option("--predictor", type=_PREDICTOR_CHOICES, default="consistency", show_default=True)
-@click.option("--predictor-machine", type=str, default=None)
-@click.option("--candidates", type=str, multiple=True)
-@click.option("-t", "--horizon", "t", type=int, required=True, help="Sequence length.")
-@click.option("--method", type=click.Choice(["exhaustive", "monte-carlo"]),
-              default="exhaustive", show_default=True)
-@click.option("--samples", type=int, default=10000, show_default=True, help="Monte Carlo sample count.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--cap-t", type=int, default=EXHAUSTIVE_T_CAP, show_default=True,
-              help="Exhaustive horizon cap; raising it needs --i-know-this-is-big.")
-@click.option("--i-know-this-is-big", "big_ok", is_flag=True, default=False)
-@click.option("--per-step", is_flag=True, default=False, help="Include per-step error averages.")
-@_workers_option
-@_format_options
-def cmd_evaluate(machine_path, predictor, predictor_machine, candidates, t, method,
-                 samples, seed, cap_t, big_ok, per_step, workers, fmt, out, timestamps):
-    """Average/worst-case prediction error, exact or sampled."""
-    _check_cap("--cap-t", cap_t, big_ok)
-    config = {
-        "command": "evaluate",
-        "machine": machine_path,
-        "predictor": predictor,
-        "t": t,
-        "method": "exhaustive" if method == "exhaustive" else "monte_carlo",
-        "cap_t": cap_t,
-        "per_step": per_step,
-    }
-    if predictor_machine:
-        config["predictor_machine"] = predictor_machine
-    if candidates:
-        config["candidates"] = list(candidates)
-    if config["method"] == "monte_carlo":
-        config["samples"] = samples
-        config["seed"] = seed
-    _run_command(config, fmt, out, timestamps)
-
-
-@main.command("batch-select")
-@click.option("--candidates", type=str, multiple=True, required=True,
-              help="Candidate machine files (repeatable).")
-@click.option("--training", required=True, help="Observed training bits.")
-@click.option("--horizon", type=int, required=True, help="Total horizon T (> training length).")
-@click.option("--machine-uniform", is_flag=True, default=False,
-              help="Weight machines equally instead of (sequence, machine) pairs.")
-@_format_options
-def cmd_batch_select(candidates, training, horizon, machine_uniform, fmt, out, timestamps):
-    """Choose the predictor with the least expected continuation error."""
-    bits = _parse_bits(training)
-    config = {
-        "command": "batch-select",
-        "candidates": list(candidates),
-        "training": str(bits),
-        "horizon": horizon,
-        "weighting": "machines" if machine_uniform else "pairs",
-    }
-    _run_command(config, fmt, out, timestamps)
-
-
-@main.command("enumerate")
-@click.option("-k", "--states", "k", type=int, required=True)
-@click.option("--mode", type=click.Choice(["raw", "canonical", "strongly-connected"]),
-              default="canonical", show_default=True)
-@click.option("--count-only", is_flag=True, default=False)
-@click.option("--cap-k", type=int, default=None,
-              help=f"Override the state-count caps (raw {RAW_K_CAP}, canonical {CANONICAL_K_CAP}).")
-@_format_options
-def cmd_enumerate(k, mode, count_only, cap_k, fmt, out, timestamps):
-    """Stream machine serializations (or just count them).
-
-    Human format streams one machine per record (blank-line separated)
-    without a report wrapper; JSON wraps the full list in a report.
-    """
-    config = {
-        "command": "enumerate",
-        "k": k,
-        "mode": mode.replace("-", "_"),
-        "count_only": count_only,
-    }
-    if cap_k is not None:
-        config["cap_k"] = cap_k
-    if fmt == "human":
-        with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as sink:
-            if count_only:
-                sink.write(f"{count_machines(config['k'], config['mode'], cap=cap_k)}\n")
-            else:
-                for machine in enumerate_machines(config["k"], config["mode"], cap=cap_k):
-                    sink.write(serialize_machine(machine))
-                    sink.write("\n")
-        return
-    _run_command(config, fmt, out, timestamps)
-
-
-@main.command("search")
-@click.option("--target", "targets", type=str, multiple=True, required=True,
-              help="Target machine files (repeatable).")
-@click.option("-k", "--states", "k", type=int, required=True, help="Predictor state budget.")
-@click.option("-t", "--horizon", "t", type=int, default=10, show_default=True)
-@click.option("--top", "top_n", type=int, default=10, show_default=True)
-@click.option("--after-training", type=str, default=None,
-              help="Observed training bits; score continuations instead.")
-@click.option("--continuation", type=int, default=4, show_default=True,
-              help="Continuation length used with --after-training.")
-@click.option("--cap-t", type=int, default=EXHAUSTIVE_T_CAP, show_default=True)
-@click.option("--i-know-this-is-big", "big_ok", is_flag=True, default=False)
-@_workers_option
-@_format_options
-def cmd_search(targets, k, t, top_n, after_training, continuation, cap_t, big_ok,
-               workers, fmt, out, timestamps):
-    """Exhaustively find the best k-state predicting automaton."""
-    _check_cap("--cap-t", cap_t, big_ok)
-    config = {
-        "command": "search",
-        "targets": list(targets),
-        "k": k,
-        "t": t,
-        "top_n": top_n,
-        "cap_t": cap_t,
-    }
-    if after_training is not None:
-        bits = _parse_bits(after_training)
-        config["after_training"] = str(bits)
-        config["continuation"] = continuation
-    _run_command(config, fmt, out, timestamps)
-
-
-@main.command("replay")
-@click.argument("config_file", type=str)
-@click.option("--i-know-this-is-big", "big_ok", is_flag=True, default=False,
-              help="Allow a config whose cap_t exceeds the default cap.")
-@_workers_option
-@_format_options
-def cmd_replay(config_file, big_ok, workers, fmt, out, timestamps):
-    """Re-run an experiment from a config file or a previous report."""
+def _replayed(path: str) -> dict:
+    """The config of a config file or a report, type-checked."""
     try:
-        data = json.loads(_read_text(config_file))
+        data = json.loads(_read_text(path))
     except json.JSONDecodeError as e:
-        raise ValueError(f"{config_file}: {e}") from None
+        raise ValueError(f"{path}: {e}") from None
     config = data.get("config", data) if isinstance(data, dict) else data
     problem = _config_problem(config)
     if problem:
-        raise ValueError(f"{config_file}: {problem}")
-    _check_cap(f"{config_file}: cap_t", config.get("cap_t", EXHAUSTIVE_T_CAP), big_ok)
+        raise ValueError(f"{path}: {problem}")
+    return config
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="mealypred", allow_abbrev=False,
+        description="Study prediction of bit sequences generated by finite-state machines.",
+    )
+    parser.add_argument("--version", action="version", version=f"mealypred, version {__version__}")
+    parser.add_argument("-v", "--verbose", action="store_true",
+                        help="Log debug messages (search and exact-walk counters among them) to stderr.")
+    commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    for command, doc in _COMMANDS.items():
+        sub = commands.add_parser(command, help=doc, description=doc, allow_abbrev=False)
+        if command == "replay":
+            sub.add_argument("config_file", help="A config or a report ('-' for stdin).")
+        for f in _FIELDS:
+            if command not in f.defaults:
+                continue
+            default = f.defaults[command]
+            shown = f" (default: {default})" if type(default) in (int, str) else ""
+            if default is False:
+                sub.add_argument(*f.flags, dest=f.key, action="store_true", help=f.help)
+                continue
+            sub.add_argument(*f.flags, dest=f.key, help=f.help + shown,
+                             action="append" if f.type is list else "store",
+                             type=int if f.type is int else None,
+                             choices=f.choices and tuple(f.choices),
+                             required=default is _REQUIRED,
+                             default=None if default is _REQUIRED else default)
+        if command in _CAPPED:
+            sub.add_argument("--i-know-this-is-big", dest="big_ok", action="store_true",
+                             help="Allow caps past their defaults.")
+        if command in _IGNORE_WORKERS:
+            sub.add_argument("--workers", type=int, default=1,
+                             help="Accepted for compatibility; ignored, every command runs "
+                                  "in one process.")
+        sub.add_argument("--format", dest="fmt", choices=("human", "json"), default="human",
+                         help="Report format (default: human).")
+        sub.add_argument("--out", help="Write the report to a file.")
+        sub.add_argument("--timestamps", action="store_true",
+                         help="Include a timestamp in human output.")
+    return parser
+
+
+@contextlib.contextmanager
+def _debug_log():
+    """Send the package's debug log to stderr while the command runs."""
+    logger = logging.getLogger("mealypred")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
     try:
-        _run_command(config, fmt, out, timestamps)
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+def _dispatch(args: argparse.Namespace) -> None:
+    replayed = args.command == "replay"
+    config = _replayed(args.config_file) if replayed else _config(args.command, args)
+    _check_caps(config, getattr(args, "big_ok", False), args.config_file if replayed else None)
+    if args.command == "enumerate" and args.fmt == "human":
+        _stream_enumeration(config, args.out)
+        return
+    try:
+        _run_command(config, args.fmt, args.out, args.timestamps)
     except KeyError as e:
-        raise ValueError(f"{config_file}: config lacks {e.args[0]!r}") from None
+        if not replayed:
+            raise
+        raise ValueError(f"{args.config_file}: config lacks {e.args[0]!r}") from None
+
+
+def _run(argv: list[str]) -> int:
+    """Parse and run one command line; return its exit code. Usage errors,
+    ``--help`` and ``--version`` exit from the parser."""
+    args = _parser().parse_args(argv)
+    try:
+        with _debug_log() if args.verbose else contextlib.nullcontext():
+            _dispatch(args)
+            sys.stdout.flush()
+    except (InconsistentObservation, InconsistentTrainingData) as e:
+        print(f"inconsistent data: {e}", file=sys.stderr)
+        return EXIT_INCONSISTENT
+    except (CapExceeded, MemoryError) as e:
+        print(f"refused: {e}", file=sys.stderr)
+        return EXIT_CAP
+    except BrokenPipeError:
+        # The reader closed the pipe: exit quietly, and leave nothing for
+        # the interpreter to fail to flush at shutdown.
+        with contextlib.suppress(OSError, ValueError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except (MachineFormatError, ValueError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except KeyboardInterrupt:
+        print("Aborted!", file=sys.stderr)
+        return 1
+    return 0
+
+
+class _EntryPoint:
+    """The ``mealypred`` console script. Calling it runs ``sys.argv[1:]``.
+    ``main(args, prog_name, standalone_mode)`` follows the calling convention
+    of click commands, which ``click.testing.CliRunner`` relies on; usage
+    lines always name ``mealypred``, and the call always ends in
+    ``SystemExit`` with the exit code."""
+
+    name = "mealypred"
+
+    def __call__(self):
+        self.main()
+
+    def main(self, args=None, prog_name=None, standalone_mode=True):
+        raise SystemExit(_run(sys.argv[1:] if args is None else list(args)))
+
+
+main = _EntryPoint()
 
 
 if __name__ == "__main__":

@@ -2,7 +2,11 @@
 
 import json
 import logging
+import os
 import random
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -359,6 +363,11 @@ class TestSearchCmd:
         # a multiline string follows its key on lines of its own
         at = lines.index("best_machine:")
         assert lines[at + 1:at + 6] == ["mealy 1", "initial 0", "0 0 -> 0 1", "0 1 -> 0 0", ""]
+        # and so does one inside a list of dicts
+        for i in range(2):
+            at = lines.index(f"leaderboard[{i}].machine:")
+            assert lines[at + 1] == "mealy 1" and lines[at + 5] == ""
+        assert lines[lines.index("leaderboard[0].machine:") + 6].startswith("leaderboard[1].score: ")
 
     @pytest.mark.parametrize("training", ["", "@{tmp}/empty.txt"])
     def test_empty_training_scores_continuations(self, runner, files, tmp_path, training):
@@ -540,6 +549,180 @@ class TestReproducibility:
         assert list(report) == ["tool", "version", "command", "config", "machines", "result"]
         assert list(report["machines"][0]) == ["path", "id", "states"]
         assert "workers" not in json.dumps(report)
+
+
+class TestParser:
+    """Each command line and the config it embeds, key order included."""
+
+    @pytest.mark.parametrize("args, stdin, config", [
+        (["run", "-m", "{echo}", "--input", "0110"], None,
+         {"machine": "{echo}", "input": "0110"}),
+        (["run", "--machine={echo}", "--input=@{tmp}/bits.txt"], None,
+         {"machine": "{echo}", "input": "0110"}),
+        (["run", "-m", "-", "--input", "01"], "machine",
+         {"machine": "-", "input": "01"}),
+        (["analyze", "--machine", "{echo}"], None, {"machine": "{echo}"}),
+        (["predict", "-m", "{const0}", "--input", "111", "--predictor", "ensemble",
+          "--candidates", "{const1}", "--candidates={const0}"], None,
+         {"machine": "{const0}", "input": "111", "predictor": "ensemble",
+          "candidates": ["{const1}", "{const0}"]}),
+        (["predict", "-m", "{echo}", "--input", "-", "--predictor-machine", "{echo}"], "0110",
+         {"machine": "{echo}", "input": "0110", "predictor": "consistency",
+          "predictor_machine": "{echo}"}),
+        (["evaluate", "-m", "{echo}", "-t", "6"], None,
+         {"machine": "{echo}", "predictor": "consistency", "t": 6, "method": "exhaustive",
+          "cap_t": 24, "per_step": False}),
+        (["evaluate", "--machine", "{echo}", "--horizon=6", "--method", "monte-carlo",
+          "--samples", "10", "--seed", "3", "--per-step", "--predictor", "known-state",
+          "--cap-t=20", "--workers", "4"], None,
+         {"machine": "{echo}", "predictor": "known-state", "t": 6, "method": "monte_carlo",
+          "cap_t": 20, "per_step": True, "samples": 10, "seed": 3}),
+        (["evaluate", "-m", "{echo}", "-t", "4", "--predictor", "automaton",
+          "--predictor-machine", "{altring}"], None,
+         {"machine": "{echo}", "predictor": "automaton", "t": 4, "method": "exhaustive",
+          "cap_t": 24, "per_step": False, "predictor_machine": "{altring}"}),
+        (["batch-select", "--candidates", "{const1}", "--candidates", "{const0}",
+          "--training", "00", "--horizon", "4"], None,
+         {"candidates": ["{const1}", "{const0}"], "training": "00", "horizon": 4,
+          "weighting": "pairs"}),
+        (["batch-select", "--candidates={echo}", "--training", "@{tmp}/bits.txt",
+          "--horizon=6", "--machine-uniform"], None,
+         {"candidates": ["{echo}"], "training": "0110", "horizon": 6,
+          "weighting": "machines"}),
+        (["enumerate", "-k", "1"], None, {"k": 1, "mode": "canonical", "count_only": False}),
+        (["enumerate", "--states=2", "--mode", "strongly-connected", "--count-only",
+          "--cap-k", "2"], None,
+         {"k": 2, "mode": "strongly_connected", "count_only": True, "cap_k": 2}),
+        (["search", "--target", "{altring}", "--target={echo}", "-k", "1", "-t", "4"], None,
+         {"targets": ["{altring}", "{echo}"], "k": 1, "t": 4, "top_n": 10, "cap_t": 24}),
+        (["search", "--target", "{echo}", "--states", "1", "--after-training",
+          "@{tmp}/bits.txt", "--continuation", "2", "--top", "3"], None,
+         {"targets": ["{echo}"], "k": 1, "t": 10, "top_n": 3, "cap_t": 24,
+          "after_training": "0110", "continuation": 2}),
+        (["search", "--target", "{echo}", "-k", "1", "--continuation", "2"], None,
+         {"targets": ["{echo}"], "k": 1, "t": 10, "top_n": 10, "cap_t": 24}),
+    ])
+    def test_config_of_command_line(self, runner, files, tmp_path, args, stdin, config):
+        (tmp_path / "bits.txt").write_text("0110\n")
+        fill = {**files, "tmp": tmp_path}
+        stdin = serialize_machine(constant_machine(1)) if stdin == "machine" else stdin
+        result = runner.invoke(main, [a.format(**fill) for a in args] + ["--format", "json"],
+                               input=stdin)
+        assert result.exit_code == 0, result.output
+        expected = {"command": args[0]}
+        for key, value in config.items():
+            expected[key] = ([v.format(**fill) for v in value] if isinstance(value, list)
+                             else value.format(**fill) if isinstance(value, str) else value)
+        assert list(json.loads(result.stdout)["config"].items()) == list(expected.items())
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_replay_embeds_the_config_it_reads(self, runner, files, tmp_path, source):
+        config = {"command": "evaluate", "machine": files["echo"], "predictor": "always-1",
+                  "t": 5, "method": "exhaustive", "cap_t": 24, "per_step": True}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        args = ["replay", str(path) if source == "file" else "-", "--format", "json"]
+        result = runner.invoke(main, args, input=json.dumps(config))
+        assert result.exit_code == 0, result.output
+        assert list(json.loads(result.stdout)["config"].items()) == list(config.items())
+
+    @pytest.mark.parametrize("config", [
+        {"command": "enumerate", "k": 1, "mode": "raw-ish", "count_only": True},
+        {"command": "evaluate", "machine": "-", "predictor": "oracle", "t": 2},
+        {"command": "batch-select", "candidates": ["-"], "training": "0", "horizon": 2,
+         "weighting": "uniform"},
+    ])
+    def test_replay_unknown_choice_is_usage_error(self, runner, tmp_path, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        result = runner.invoke(main, ["replay", str(path)])
+        assert result.exit_code == 2
+        field = next(k for k in ("mode", "predictor", "weighting") if k in config)
+        assert result.stderr.startswith(f"error: {path}: unknown {field} {config[field]!r}")
+
+    @pytest.mark.parametrize("args, named", [
+        (["analyze", "-m", "{echo}", "--tolerance", "1e-9"], "--tolerance"),
+        (["evaluate", "-m", "{echo}", "--hor", "12"], "--hor"),
+        (["evaluate", "-m", "{echo}"], "-t/--horizon"),
+        (["batch-select", "--training", "0", "--horizon", "3"], "--candidates"),
+        (["evaluate", "-m", "{echo}", "-t", "6", "--predictor", "oracle"], "'oracle'"),
+        (["evaluate", "-m", "{echo}", "-t", "x"], "'x'"),
+        (["analyze", "-m", "{echo}", "-v"], "-v"),
+        (["analyze", "-m", "{echo}", "--format", "yaml"], "'yaml'"),
+        (["frobnicate"], "'frobnicate'"),
+        ([], "COMMAND"),
+    ])
+    def test_usage_error(self, runner, files, args, named):
+        result = runner.invoke(main, [a.format(**files) for a in args])
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert named in result.stderr
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("command", [[], ["run"], ["analyze"], ["predict"], ["evaluate"],
+                                         ["batch-select"], ["enumerate"], ["search"], ["replay"]])
+    def test_help(self, runner, command):
+        result = runner.invoke(main, command + ["--help"])
+        assert result.exit_code == 0, result.output
+        assert result.stdout.startswith(f"usage: {' '.join(['mealypred'] + command)} ")
+
+    def test_version(self, runner):
+        result = runner.invoke(main, ["--version"])
+        assert result.exit_code == 0
+        assert result.stdout == "mealypred, version 0.1.0\n"
+
+    def test_main_ends_in_system_exit(self, tmp_path):
+        out = tmp_path / "count.txt"
+        with pytest.raises(SystemExit) as done:
+            main.main(args=["enumerate", "-k", "1", "--count-only", "--out", str(out)],
+                      prog_name="mealypred", standalone_mode=True)
+        assert done.value.code == 0
+        assert out.read_text() == "4\n"
+
+    def test_import_leaves_click_out(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        probe = "import sys, mealypred.cli; assert 'click' not in sys.modules, 'click imported'"
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
+
+class TestCaps:
+    """A cap past its default needs --i-know-this-is-big, on the command line
+    and in a replayed config alike."""
+
+    BIG_RAW = {"command": "enumerate", "k": 5, "mode": "raw", "cap_k": 5, "count_only": True}
+
+    def _refused(self, runner, args):
+        start = time.perf_counter()
+        result = runner.invoke(main, args)
+        assert time.perf_counter() - start < 1
+        assert result.exit_code == 2, result.output
+        assert "--i-know-this-is-big" in result.stderr
+        assert result.stdout == ""
+
+    def test_cap_k_past_the_raw_default_is_refused(self, runner):
+        self._refused(runner, ["enumerate", "-k", "4", "--mode", "raw", "--cap-k", "4",
+                               "--count-only"])
+
+    def test_replayed_cap_k_past_the_raw_default_is_refused(self, runner, tmp_path):
+        path = tmp_path / "big-raw.json"
+        path.write_text(json.dumps(self.BIG_RAW))
+        self._refused(runner, ["replay", str(path)])
+
+    def test_acknowledged_cap_k_runs(self, runner, tmp_path):
+        args = ["enumerate", "-k", "4", "--mode", "raw", "--cap-k", "4", "--count-only"]
+        result = runner.invoke(main, args + ["--i-know-this-is-big"])
+        assert result.exit_code == 0, result.output
+        assert result.output == f"{8 ** 8}\n"
+        path = tmp_path / "raw4.json"
+        path.write_text(json.dumps({**self.BIG_RAW, "k": 4, "cap_k": 4}))
+        replayed = run_json(runner, ["replay", str(path), "--i-know-this-is-big"])
+        assert replayed["result"]["count"] == 8 ** 8
+
+    def test_cap_k_within_the_canonical_default_needs_nothing(self, runner):
+        args = ["enumerate", "-k", "2", "--cap-k", "4", "--count-only"]
+        assert runner.invoke(main, args).exit_code == 0
 
 
 def _seeded(seed):
