@@ -2,25 +2,27 @@
 
 The exact evaluators average per-bit prediction error over every input
 sequence of a given length with one engine, a merged-frontier pass. It
-interns each predictor snapshot as an integer node, expanded once: its guess
-per generator state and its child per observed bit. The per-state counts of
-input sequences consistent with the observed output are the unnormalized
-forward vector of the machine read as an edge-emitting HMM, and expected
-error is linear in them. So the engine walks the horizon depth by depth over
-(node, generator state) pairs and merges every branch that reaches an equal
-pair: ``e_ave``, ``e_wc`` and the per-step errors come out exact for every
-predictor. A consistency or ensemble node is keyed by its count vector over
-the vector's gcd, so proportional vectors, which guess alike, share a node.
-It needs only the ``snapshot``/``restore`` every predictor has, so there is
-no fallback path. A walk whose frontier outgrows ``FRONTIER_BUDGET`` (node,
-state) pairs is refused with :class:`CapExceeded`.
+interns each predictor snapshot as an integer node and expands each (node,
+generator state) pair once into an integer table of its two edges. The
+per-state counts of input sequences consistent with the observed output are
+the unnormalized forward vector of the machine read as an edge-emitting HMM,
+and expected error is linear in them. So the engine walks the horizon depth
+by depth over the pairs, merges every branch that reaches an equal pair and
+sums the errors by Horner's rule: ``e_ave``, ``e_wc`` and the per-step
+errors come out exact for every predictor. A consistency or ensemble node is
+keyed by its count vector over the vector's gcd, so proportional vectors,
+which guess alike, share a node. It needs only the ``snapshot``/``restore``
+every predictor has, so there is no fallback path. A walk whose frontier
+outgrows ``FRONTIER_BUDGET`` (node, state) pairs is refused with
+:class:`CapExceeded`.
 
 In the batch setting the consistent (input sequence, machine) pairs of
 training data are the count vector of one lenient ensemble of the candidate
 machines that has observed it, the *pool*: per candidate its pair count, per
 state of the candidates' disjoint union the pairs ending there. Batch
 selection scores each predictor with one walk over that union, started from
-the pool's counts, and search scores its candidates from the same vector.
+the pool's counts, as its expected continuation error per consistent pair
+(or per machine); search scores its candidates from the same vector.
 
 Monte Carlo estimates sample input sequences and run every built-in
 predictor through a vectorized numpy sweep at any horizon. Consistency and
@@ -32,9 +34,9 @@ Past that bound each column is divided by its gcd, which changes no guess;
 columns that still do not fit move to int64, exact below 2**62, and past
 that, after another gcd, to Python integers. The finite-state predictors
 (known-state, constant, automaton) run beside the generator as one product
-machine on input bits, built once from their snapshot nodes, so each step
-costs two table lookups. Any other predictor, a subclass of a built-in one
-included, goes through a per-sequence loop.
+machine on input bits, the same pair table expanded to a fixpoint, so each
+step costs two table lookups. Any other predictor, a subclass of a built-in
+one included, goes through a per-sequence loop.
 
 Predictors whose machine model is contradicted by an observation are scored
 leniently here, by every engine: a dead model keeps emitting the tie-rule 0.
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import logging
 import math
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -201,38 +204,37 @@ def _sweep_consistency(machine: MealyMachine, predictor: ConsistencyPredictor, b
     return int(seq_err.sum()), int(seq_err.max()), step_totals
 
 
-def _product_machine(machine: MealyMachine, predictor: Predictor) -> tuple[np.ndarray, np.ndarray]:
+def _product_machine(machine: MealyMachine, predictor: Predictor) -> np.ndarray:
     """The predictor run beside the generator, as one machine on input bits.
 
-    Its nodes are the reachable (snapshot node, generator state) pairs,
-    numbered breadth-first from the predictor's current snapshot and the
-    initial state. Returns ``(successor, miss)``, flat at ``2 * node + input
-    bit``; ``miss`` is 1 where the guess differs from the generator's output.
-    The walk ends only for predictors with finitely many snapshots.
+    Its nodes are the (snapshot node, generator state) pairs reachable from
+    the predictor's current snapshot and the initial state, each expanded
+    once. Returns their edges, flat at ``2 * pair + input bit``: ``2 * next
+    pair + miss``, where ``miss`` is 1 if the guess differs from the
+    generator's output. The walk ends only for predictors with finitely many
+    snapshots.
     """
     nodes = _Nodes(machine, predictor)
-    index = {machine.initial_state: 0}  # (snapshot node, state) pair -> product node
-    pairs = list(index)
-    successor, miss = [], []
+    pairs, seen = [machine.initial_state], {machine.initial_state}
     for at in pairs:  # grows as new pairs are found
-        for to, m in nodes.expand(at):
-            successor.append(index.setdefault(to, len(pairs)))
-            if successor[-1] == len(pairs):
-                pairs.append(to)
-            miss.append(m)
+        nodes.expand(at)
+        for e in nodes.edges[2 * at:2 * at + 2]:
+            if e >> 1 not in seen:
+                seen.add(e >> 1)
+                pairs.append(e >> 1)
     predictor.restore(nodes.root)
-    return np.array(successor, dtype=np.int64), np.array(miss, dtype=np.int64)
+    return np.frombuffer(nodes.edges, dtype=np.int64)
 
 
 def _sweep_product(machine: MealyMachine, predictor: Predictor, bits: np.ndarray) -> tuple[int, int, list[int]]:
     """Run the product machine of a finite-state predictor over every sample."""
-    # Both tables read flat at 2 * node + input bit: one index per step and
-    # 1-D gathers; 2-D [node, bit] gathers took 2.5 times as long at t=200
+    # Both tables read flat at 2 * pair + input bit: one index per step and
+    # 1-D gathers; 2-D [pair, bit] gathers took 2.5 times as long at t=200
     # with 10,000 samples.
-    succ, miss = _product_machine(machine, predictor)
-    succ *= 2
+    edges = _product_machine(machine, predictor)
+    succ, miss = edges & -2, edges & 1
     n, t = bits.shape
-    at = np.zeros(n, dtype=np.int64)  # 2 * node
+    at = np.full(n, 2 * machine.initial_state, dtype=np.int64)  # 2 * pair
     seq_err = np.zeros(n, dtype=np.int64)
     step_totals = []
     for i in range(t):
@@ -248,14 +250,15 @@ def _sweep_product(machine: MealyMachine, predictor: Predictor, bits: np.ndarray
 # exact engine
 
 class _Nodes:
-    """A predictor's snapshots interned as integer nodes, each expanded once.
+    """A predictor's snapshots interned as integer nodes; each (node, state)
+    pair ``node * k + state`` is expanded once.
 
-    Node 0 is the predictor's current snapshot. On first use a node restores
-    its snapshot to find and cache its guess per generator state and its child
-    per observed bit. A consistency or ensemble node is keyed, and restored,
-    as its count vector over the vector's gcd (an all-zero vector as it is):
-    a guess compares two sums over one vector and observing is linear, so
-    proportional vectors guess alike forever after.
+    Node 0 is the predictor's current snapshot. Expanding a pair restores its
+    node's snapshot to find the guess and the child per observed bit, and
+    stores the pair's edges. A consistency or ensemble node is keyed, and
+    restored, as its count vector over the vector's gcd (an all-zero vector
+    as it is): a guess compares two sums over one vector and observing is
+    linear, so proportional vectors guess alike forever after.
     """
 
     def __init__(self, machine: MealyMachine, predictor: Predictor):
@@ -264,8 +267,11 @@ class _Nodes:
         self.scaled = type(predictor) in _COUNTING
         self.blind = type(predictor).inform_state is Predictor.inform_state
         # snapshot -> node; per node its snapshot; at 2 * node + observed bit
-        # its child; at node, or at the pair if the state steers it, its guess
+        # its child; per blind node its guess; at 2 * pair + input bit, 2 *
+        # next pair + miss, or -1 (or no slot yet) until the pair is expanded
         self.index, self.keys, self.children, self.guesses = {}, [], [], {}
+        self.edges, self.blank = array("q"), array("q", [-1]) * (2 * self.k)
+        self.expanded = 0
         self.intern(self.root)
 
     def intern(self, snap) -> int:
@@ -277,61 +283,86 @@ class _Nodes:
             self.children += (None, None)
         return node
 
-    def expand(self, pair: int) -> list[tuple[int, bool]]:
-        """(next pair, miss) for input bits 0 and 1 from ``pair`` = node * k + state."""
+    def expand(self, pair: int) -> int:
+        """Store the edges of ``pair`` for input bits 0 and 1; return the first."""
         node, s = divmod(pair, self.k)
-        p, key = self.predictor, node if self.blind else pair
-        if key not in self.guesses:
+        if len(self.edges) <= 2 * pair:  # so nodes first reached at the last depth get no slots
+            self.edges += self.blank * (node + 1 - len(self.edges) // len(self.blank))
+        p, guess = self.predictor, self.guesses.get(node)
+        if guess is None:
             p.restore(self.keys[node])
             p.inform_state(s)
-            self.guesses[key] = p.predict()
-        guess, steps = self.guesses[key], []
+            guess = p.predict()
+            if self.blind:
+                self.guesses[node] = guess
         for b, o in enumerate(self.out[s]):
             at = 2 * node + o
             if self.children[at] is None:
                 p.restore(self.keys[node])
                 p.observe(o)
                 self.children[at] = self.intern(p.snapshot())
-            steps.append((self.children[at] * self.k + self.trans[s][b], guess != o))
-        return steps
+            self.edges[2 * pair + b] = 2 * (self.children[at] * self.k + self.trans[s][b]) + (guess != o)
+        self.expanded += 1
+        return self.edges[2 * pair]
 
 
-def _frontier_totals(machine: MealyMachine, predictor: Predictor, t: int, start: dict[int, int]) -> tuple[int, int, list[int]]:
+def _frontier_totals(machine: MealyMachine, predictor: Predictor, t: int, start: dict[int, int], per_step: bool = False) -> tuple[int, int, list[int] | None]:
     """Exact error totals by one depth-by-depth pass with merged predictor states.
 
-    The frontier maps each (snapshot node, generator state) pair, at ``node *
-    k + state``, to (number of input sequences, most errors so far). It
-    starts at the predictor's current snapshot with ``start`` giving the
-    sequence counts per state. They are the engine's own (a node's key
-    rescales only the predictor's), so they stay exact. Errors are linear in
-    them; an error at depth ``d`` stands for ``2**(t - d - 1)`` completions.
-    A frontier larger than ``FRONTIER_BUDGET`` pairs is refused.
+    Two dicts map each (snapshot node, generator state) pair of the frontier,
+    at ``node * k + state``, to its number of input sequences and its most
+    errors so far. It starts at the predictor's current snapshot with
+    ``start`` giving the sequence counts per state. They are the engine's own
+    (a node's key rescales only the predictor's), so they stay exact. An
+    error at depth ``d`` stands for ``2**(t - d - 1)`` completions, so the
+    total is summed by Horner's rule; per-depth totals are kept only for
+    ``per_step``. A frontier larger than ``FRONTIER_BUDGET`` pairs is refused.
     """
     nodes = _Nodes(machine, predictor)
-    frontier = {s: (n, 0) for s, n in start.items() if n}
-    step = [0] * t
-    peak = len(frontier)
+    edges = nodes.edges
+    count = {s: n for s, n in start.items() if n}
+    most = dict.fromkeys(count, 0)
+    total, step, peak = 0, [] if per_step else None, len(count)
     for depth in range(t):
-        nxt: dict = {}
-        wrong = 0
-        for at, (n, errs) in frontier.items():
-            for to, miss in nodes.expand(at):
-                wrong += n * miss
-                m, e = nxt.get(to, (0, 0))
-                nxt[to] = (m + n, max(e, errs + miss))
-        step[depth] = wrong << (t - depth - 1)
-        frontier = nxt
-        peak = max(peak, len(frontier))
+        nc, nm, wrong = {}, {}, 0
+        for at, n in count.items():
+            try:
+                e0 = edges[2 * at]
+            except IndexError:  # no pair of its node expanded yet
+                e0 = -1
+            if e0 < 0:
+                e0 = nodes.expand(at)
+            e1, errs = edges[2 * at + 1], most[at]
+            wrong += n * ((e0 & 1) + (e1 & 1))
+            # both edges unrolled: this loop is most of the walk's own time
+            to, e = e0 >> 1, errs + (e0 & 1)
+            if to in nc:
+                nc[to] += n
+                if nm[to] < e:
+                    nm[to] = e
+            else:
+                nc[to], nm[to] = n, e
+            to, e = e1 >> 1, errs + (e1 & 1)
+            if to in nc:
+                nc[to] += n
+                if nm[to] < e:
+                    nm[to] = e
+            else:
+                nc[to], nm[to] = n, e
+        total = 2 * total + wrong
+        if per_step:
+            step.append(wrong << (t - depth - 1))
+        count, most = nc, nm
+        peak = max(peak, len(count))
         if peak > FRONTIER_BUDGET:
             raise CapExceeded(
                 f"exact walk frontier reached {peak} (node, state) pairs at depth "
                 f"{depth + 1}, over the budget of {FRONTIER_BUDGET}"
             )
     predictor.restore(nodes.root)
-    log.debug("exact walk, t=%d: %d nodes interned, peak frontier %d (node, state) pairs",
-              t, len(nodes.keys), peak)
-    wc = max((e for _, e in frontier.values()), default=0)
-    return sum(step), wc, step
+    log.debug("exact walk, t=%d: %d nodes interned, %d pairs expanded, peak frontier %d (node, state) pairs",
+              t, len(nodes.keys), nodes.expanded, peak)
+    return total, max(most.values(), default=0), step
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +441,7 @@ def evaluate_exhaustive(
     _check_informed(machine, predictor)
     with _lenient(predictor):
         predictor.reset()
-        total, wc, step = _frontier_totals(machine, predictor, t, {machine.initial_state: 1})
+        total, wc, step = _frontier_totals(machine, predictor, t, {machine.initial_state: 1}, per_step)
     n = 1 << t
     return ErrorReport(
         machine_id=machine_id(machine),
@@ -519,6 +550,10 @@ class PredictorScore:
     training_errors: int
     model_died_in_training: bool
 
+    def __post_init__(self):
+        if not 0 <= self.score <= 1:
+            raise ValueError(f"score out of range: {self.score}")
+
     def to_dict(self) -> dict:
         return {
             "label": self.label,
@@ -575,7 +610,8 @@ def batch_select(
     scored with its post-training knowledge by one exact walk over the union;
     training errors are reported but play no part in the score.
 
-    ``weighting="pairs"`` weights every consistent pair equally;
+    ``weighting="pairs"`` weights every consistent pair equally, so a score is
+    the expected continuation error per consistent pair;
     ``weighting="machines"`` averages within each machine first, then across
     the machines that survive.
     """
@@ -590,14 +626,14 @@ def batch_select(
         )
     # Under "pairs" every consistent pair weighs 1; under "machines" each pair
     # of a surviving machine weighs lcm / its pairs, so the machine weighs lcm.
-    weights, denom = [1] * len(pair_counts), delta << delta
+    # A score is the weighted mean over pairs of the continuation error rate.
+    weights = [1] * len(pair_counts)
     if weighting == "machines":
-        alive = [n for n in pair_counts if n]
-        lcm = math.lcm(*alive)
+        lcm = math.lcm(*(n for n in pair_counts if n))
         weights = [lcm // n if n else 0 for n in pair_counts]
-        denom *= lcm * len(alive)
     per_state = (w for m, w in zip(problem.machines, weights) for _ in range(m.num_states))
     start = {s: c * w for s, (c, w) in enumerate(zip(pool.consistency_vector, per_state))}
+    denom = (delta << delta) * sum(start.values())
 
     scores = []
     for idx, predictor in enumerate(problem.predictors):

@@ -514,7 +514,7 @@ class TestReproducibility:
         assert plain.stderr == ""
         assert verbose.stderr.splitlines() == [
             "mealypred.evaluation: exact walk, t=12: 22 nodes interned, "
-            "peak frontier 46 (node, state) pairs"
+            "78 pairs expanded, peak frontier 46 (node, state) pairs"
         ]
         assert not logging.getLogger("mealypred").handlers
 

@@ -25,7 +25,7 @@ from mealypred import (
     evaluate_exhaustive,
     evaluate_monte_carlo,
 )
-from mealypred.evaluation import _generic_totals, _lenient, _sweep_consistency
+from mealypred.evaluation import PredictorScore, _Nodes, _generic_totals, _lenient, _sweep_consistency
 from mealypred.machines import (
     alternating_ring,
     biased_unbiased_ring,
@@ -171,6 +171,21 @@ class TestExhaustive:
             r = evaluate_exhaustive(m, KnownStatePredictor(m), t, cap=t, per_step=True)
             assert r.e_ave == oracles.dp_known_state_error(m, t)
             assert sum(r.per_step_errors) == t * r.e_ave
+            assert evaluate_exhaustive(m, KnownStatePredictor(m), t, cap=t).e_ave == r.e_ave
+
+    def test_each_pair_expanded_once(self, monkeypatch):
+        # a known-state walk reaches one (node, state) pair per reachable
+        # state, however many depths each of them stays on the frontier
+        calls = []
+        expand = _Nodes.expand
+        monkeypatch.setattr(_Nodes, "expand", lambda nodes, pair: calls.append(pair) or expand(nodes, pair))
+        rng = random.Random(41)
+        for k in (3, 6, 8):
+            m = random_machine(k, rng)
+            calls.clear()
+            r = evaluate_exhaustive(m, KnownStatePredictor(m), 40, cap=40)
+            assert r.e_ave == oracles.dp_known_state_error(m, 40)
+            assert len(calls) == len(set(calls)) == len(m.reachable_states()) <= k
 
     def test_known_state_of_smaller_machine_refused(self):
         rng = random.Random(44)
@@ -469,6 +484,28 @@ class TestBatchSelect:
         assert sel.pair_counts == (16, 0)
         assert sel.scores[sel.best_index].score == 0
 
+    def test_pairs_score_is_the_mean_per_pair(self, const0, const1, echo):
+        # 16 inputs of const0 and none of const1 produce 0000; with the
+        # coin-flip echo machine in place of const1 one input does, and
+        # always-1 errs on half of its continuation bits: (16 + 1/2) / 17
+        for other, counts, always1 in ((const1, (16, 0), 1), (echo, (16, 1), Fraction(33, 34))):
+            machines = (const0, other)
+            problem = BatchProblem(machines, Bits.from_string("0000"), 8,
+                                   default_batch_predictors(machines))
+            sel = batch_select(problem)
+            assert sel.pair_counts == counts
+            assert sel.scores[1].label == "always-1" and sel.scores[1].score == always1
+        with pytest.raises(ValueError, match="score out of range"):
+            PredictorScore("always-1", 1, Fraction(33, 2), 0, False)
+
+    def test_long_horizon_scores_exact(self, const0, const1):
+        # 199 continuation bits: the walk's totals are far past 2**63
+        machines = (const0, const1)
+        problem = BatchProblem(machines, Bits.from_string("0"), 200, default_batch_predictors(machines))
+        for weighting in ("pairs", "machines"):
+            scores = batch_select(problem, weighting=weighting).scores
+            assert [(s.label, s.score) for s in scores[:2]] == [("always-0", 0), ("always-1", 1)]
+
     def test_inconsistent_training_data(self, const0):
         problem = BatchProblem(
             machines=(const0,),
@@ -496,9 +533,9 @@ class TestBatchSelect:
     def test_scores_match_explicit_pair_enumeration(self, weighting):
         # independent route: enumerate consistent (input, machine) pairs one
         # by one and average each predictor's continuation errors directly.
-        # "pairs" sums these averages over every pair; "machines" is the
-        # mean, over the machines with a pair, of each machine's average
-        # over its pairs
+        # "pairs" is the mean of these averages over every pair; "machines"
+        # is the mean, over the machines with a pair, of each machine's
+        # average over its pairs
         rng = random.Random(14)
         checked = 0
         while checked < 6:
@@ -544,7 +581,7 @@ class TestBatchSelect:
                     if pairs:
                         per_machine.append((total, pairs))
                 if weighting == "pairs":
-                    expected = sum(total for total, _ in per_machine)
+                    expected = sum(total for total, _ in per_machine) / sum(n for _, n in per_machine)
                 else:
                     expected = sum(total / n for total, n in per_machine) / len(per_machine)
                 assert score.score == expected
