@@ -8,6 +8,7 @@ threads and processes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
@@ -195,6 +196,10 @@ class MealyMachine:
                     frontier.append(n)
         return frozenset(seen)
 
+    @functools.cached_property
+    def _id(self) -> str:
+        return hashlib.sha256(serialize_machine(self).encode()).hexdigest()
+
 
 def serialize_machine(machine: MealyMachine) -> str:
     """Canonical text form: header lines then entries sorted by (state, input).
@@ -209,8 +214,8 @@ def serialize_machine(machine: MealyMachine) -> str:
 
 
 def machine_id(machine: MealyMachine) -> str:
-    """SHA-256 of the canonical serialization; stable identity for reports."""
-    return hashlib.sha256(serialize_machine(machine).encode()).hexdigest()
+    """SHA-256 of the canonical serialization, once per machine object; stable identity for reports."""
+    return machine._id
 
 
 def parse_machine(text: str) -> MealyMachine:

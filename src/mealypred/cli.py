@@ -551,7 +551,7 @@ def _replayed(path: str) -> dict:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="mealypred", allow_abbrev=False,
         description="Study prediction of bit sequences generated by finite-state machines.",
@@ -590,7 +590,7 @@ def _parser() -> argparse.ArgumentParser:
         sub.add_argument("--out", help="Write the report to a file.")
         sub.add_argument("--timestamps", action="store_true",
                          help="Include a timestamp in human output.")
-    return parser
+    return parser, commands.choices
 
 
 @contextlib.contextmanager
@@ -627,7 +627,15 @@ def _dispatch(args: argparse.Namespace) -> None:
 def _run(argv: list[str]) -> int:
     """Parse and run one command line; return its exit code. Usage errors,
     ``--help`` and ``--version`` exit from the parser."""
-    args = _parser().parse_args(argv)
+    parser, commands = _parser()
+    if argv and argv[0] in commands:
+        # the subparser action's own call, without a first pass over every token
+        start = argparse.Namespace(command=argv[0], verbose=False)
+        args, extra = commands[argv[0]].parse_known_args(argv[1:], start)
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    else:
+        args = parser.parse_args(argv)
     try:
         with _debug_log() if args.verbose else contextlib.nullcontext():
             _dispatch(args)

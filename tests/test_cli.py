@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from mealypred import serialize_machine
+import mealypred.automaton
+from mealypred import MealyMachine, serialize_machine
 from mealypred.cli import main
 from mealypred.machines import (
     alternating_ring,
@@ -137,6 +138,25 @@ class TestEvaluate:
         )
         assert result.exit_code == 2
         assert "seed" in result.output
+
+    @pytest.mark.parametrize("predictor, distinct", [
+        (["--predictor", "known-state"], 1),
+        (["--predictor", "automaton", "--predictor-machine", "{altring}"], 2),
+    ])
+    def test_serializes_each_machine_once(self, runner, files, monkeypatch, predictor, distinct):
+        # the report names each machine's id up to three times: its entry,
+        # the error report and the predictor label
+        serialized = []
+
+        def counting(machine):
+            serialized.append(machine)
+            return serialize_machine(machine)
+
+        monkeypatch.setattr(mealypred.automaton, "serialize_machine", counting)
+        args = ["evaluate", "-m", files["demo8"], "-t", "6"] + predictor
+        report = run_json(runner, [a.format(**files) for a in args])
+        assert len(serialized) == len(set(serialized)) == distinct
+        assert report["machines"][0]["id"] == report["result"]["machine_id"]
 
     def test_cap_exit_code(self, runner, files):
         result = runner.invoke(main, ["evaluate", "-m", files["echo"], "-t", "25"])
@@ -515,6 +535,26 @@ class TestReproducibility:
         assert verbose.stderr.splitlines() == [
             "mealypred.evaluation: exact walk, t=12: 22 nodes interned, "
             "78 pairs expanded, peak frontier 46 (node, state) pairs"
+        ]
+        assert not logging.getLogger("mealypred").handlers
+
+    def test_verbose_logs_stationary_law_and_keeps_report(self, runner, tmp_path):
+        # s0 and state 1 are transient; {2} and {3, 4, 5} are closed
+        machine = MealyMachine(6, ((1, 2), (1, 3), (2, 2), (4, 4), (5, 5), (4, 3)), ((0, 1),) * 6)
+        path = tmp_path / "two-classes.mealy"
+        path.write_text(serialize_machine(machine))
+        args = ["analyze", "-m", str(path), "--format", "json", "--out"]
+        quiet, loud = tmp_path / "quiet.json", tmp_path / "loud.json"
+        plain = runner.invoke(main, args + [str(quiet)])
+        verbose = runner.invoke(main, ["-v"] + args + [str(loud)])
+        assert plain.exit_code == verbose.exit_code == 0
+        assert quiet.read_bytes() == loud.read_bytes()
+        assert json.loads(quiet.read_text())["result"]["stationary"]["exact"] == [
+            "0/1", "0/1", "1/2", "1/10", "1/5", "1/5"]
+        assert plain.stderr == ""
+        assert verbose.stderr.splitlines() == [
+            "mealypred.spectral: stationary law: 6 reachable states, closed classes "
+            "of sizes [1, 3], 2 transient components, largest system 3"
         ]
         assert not logging.getLogger("mealypred").handlers
 

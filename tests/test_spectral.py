@@ -1,6 +1,7 @@
 """Stationary frequencies and the perfect-knowledge error floor."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from mealypred import (
 )
 from mealypred.enumeration import is_strongly_connected
 from mealypred.machines import random_machine, ring_machine
+from mealypred.spectral import _components
 
 import oracles
 
@@ -44,6 +46,25 @@ class TestAdjacency:
             m = random_machine(rng.randint(1, 6), rng)
             for row in normalized_matrix(m):
                 assert sum(row) == Fraction(1)
+
+
+class TestComponents:
+    def test_mutual_reachability_in_topological_order(self):
+        # edges biased forward, so most machines have many components
+        rng = random.Random(3)
+        for _ in range(400):
+            k = rng.randint(1, 12)
+            transition = tuple(tuple(rng.randrange(k) if rng.random() < 0.3 else rng.randrange(s, k)
+                                     for _ in (0, 1)) for s in range(k))
+            m = MealyMachine(k, transition, ((0, 1),) * k, rng.randrange(k))
+            reach = [m.reachable_states(s) for s in range(k)]
+            comps = _components(m)
+            assert sorted(s for c in comps for s in c) == sorted(reach[m.initial_state])
+            assert m.initial_state in comps[0]
+            place = {s: i for i, c in enumerate(comps) for s in c}
+            for c in comps:
+                assert {j for j in reach[c[0]] if c[0] in reach[j]} == set(c)
+                assert all(place[n] >= place[s] for s in c for n in m.transition[s])
 
 
 class TestStationary:
@@ -121,6 +142,78 @@ class TestStationary:
             p = normalized_matrix(m)
             k = m.num_states
             assert tuple(sum(w[i] * p[i][j] for i in range(k)) for j in range(k)) == w
+
+    def test_matches_cesaro_oracle_with_several_classes(self):
+        # ring blocks: transient ones first, each edge out of them to a later
+        # block, then closed ones; singleton transient blocks form chains
+        def blocks_machine(rng, transient, closed):
+            sizes = transient + closed
+            starts = [sum(sizes[:b]) for b in range(len(sizes))]
+            transition = []
+            for b, (start, size) in enumerate(zip(starts, sizes)):
+                for i in range(size):
+                    inside = (start + (i + 1) % size, rng.randrange(start, start + size))
+                    if b >= len(transient):
+                        transition.append(inside)
+                        continue
+                    out = [starts[c] + rng.randrange(sizes[c])
+                           for c in rng.sample(range(b + 1, len(sizes)), 2)]
+                    if size == 1:
+                        transition.append(tuple(out))
+                    else:
+                        exits = i == size - 1 or rng.random() < 0.3
+                        transition.append((inside[0], out[0] if exits else inside[1]))
+            k = sum(sizes)
+            output = tuple((rng.randrange(2), rng.randrange(2)) for _ in range(k))
+            return MealyMachine(k, tuple(transition), output)
+
+        rng = random.Random(23)
+        layouts = [([1, 1, 6, 1, 1, 9, 2], [7, 1, 12, 4]),
+                   ([3, 1, 1, 1, 14, 1, 2, 5], [9, 2, 13]),
+                   ([1] * 12 + [10, 4], [16, 1, 8, 6])]
+        checked = 0
+        while checked < 6:
+            transient, closed = layouts[checked % 3]
+            m = blocks_machine(rng, transient, closed)
+            pi, _ = oracles.cesaro_limit_and_fundamental(m)
+            ends = [sum(transient + closed[:i + 1]) for i in range(len(closed))]
+            if sum(any(pi[0][end - size:end]) for end, size in zip(ends, closed)) < 2:
+                continue  # fewer than two closed classes reached
+            assert list(stationary_frequencies(m).weights) == pi[0]
+            checked += 1
+
+    @pytest.mark.parametrize("k", [128, 256])
+    def test_balance_at_hundreds_of_states(self, k):
+        # from the transition table alone, in O(k^2): w P == w, sum(w) == 1,
+        # and w > 0 exactly on the recurrent states reachable from s0
+        m = random_machine(k, random.Random(k))
+        w = stationary_frequencies(m).weights
+        flow = [Fraction(0)] * k
+        for i in range(k):
+            for j in m.transition[i]:
+                flow[j] += w[i] / 2
+        assert flow == list(w) and sum(w) == 1
+        reach = []
+        for s in range(k):
+            seen, todo = {s}, [s]
+            while todo:
+                for n in m.transition[todo.pop()]:
+                    if n not in seen:
+                        seen.add(n)
+                        todo.append(n)
+            reach.append(seen)
+        recurrent = {s for s in reach[m.initial_state] if all(s in reach[j] for j in reach[s])}
+        assert {s for s in range(k) if w[s]} == recurrent
+
+    def test_long_path_without_recursion(self):
+        # i -> i + 1 on both inputs, the last state absorbing: 4,999 transient
+        # components, each solved alone
+        k = 5000
+        m = MealyMachine(k, tuple((min(i + 1, k - 1),) * 2 for i in range(k)), ((0, 1),) * k)
+        start = time.perf_counter()
+        w = stationary_frequencies(m).weights
+        assert time.perf_counter() - start < 1
+        assert w == (0,) * (k - 1) + (1,)
 
     def test_rejects_bad_arguments(self):
         half = Fraction(1, 2)
