@@ -19,6 +19,7 @@ from .automaton import (
     serialize_machine,
 )
 from .enumeration import (
+    CapExceeded,
     canonicalize,
     count_machines,
     enumerate_machines,
@@ -30,13 +31,11 @@ from .enumeration import (
 from .evaluation import (
     BatchProblem,
     BatchSelection,
-    CapExceeded,
     ErrorReport,
     InconsistentTrainingData,
     PredictorScore,
     SelectionWitness,
     batch_select,
-    consistency_profile,
     default_batch_predictors,
     evaluate_exhaustive,
     evaluate_monte_carlo,
@@ -62,6 +61,7 @@ from .predictors import (
     Predictor,
     PredictorTrace,
     trace_predictor,
+    training_pool,
 )
 from .search import (
     SearchResult,

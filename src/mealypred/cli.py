@@ -43,19 +43,19 @@ from .automaton import (
 from .enumeration import (
     CANONICAL_K_CAP,
     RAW_K_CAP,
+    CapExceeded,
     count_machines,
     enumerate_machines,
 )
 from .evaluation import (
     EXHAUSTIVE_T_CAP,
     BatchProblem,
-    CapExceeded,
     InconsistentTrainingData,
-    _rational_str,
     batch_select,
     default_batch_predictors,
     evaluate_exhaustive,
     evaluate_monte_carlo,
+    rational_str,
 )
 from .predictors import (
     AutomatonPredictor,
@@ -135,7 +135,7 @@ def _build_predictor(kind, machine, predictor_machine, candidates):
 
 
 # ---------------------------------------------------------------------------
-# executors: config dict -> report dict
+# executors: config dict -> the report's machines and result
 
 def _exec_run(config: dict) -> dict:
     machine = _load_machine(config["machine"])
@@ -171,10 +171,10 @@ def _exec_analyze(config: dict) -> dict:
             "adjacency": [list(r) for r in adjacency(machine)],
             "stationary": {
                 "weights": [float(w) for w in freqs.weights],
-                "exact": [_rational_str(w) for w in freqs.weights],
+                "exact": [rational_str(w) for w in freqs.weights],
             },
             "perfect_knowledge_bound": float(bound),
-            "perfect_knowledge_bound_exact": _rational_str(bound),
+            "perfect_knowledge_bound_exact": rational_str(bound),
         },
     }
 
@@ -300,27 +300,17 @@ def _exec_search(config: dict) -> dict:
     }
 
 
-_EXECUTORS = {
-    "run": _exec_run,
-    "analyze": _exec_analyze,
-    "predict": _exec_predict,
-    "evaluate": _exec_evaluate,
-    "batch-select": _exec_batch_select,
-    "enumerate": _exec_enumerate,
-    "search": _exec_search,
+# Per command: its help text and its executor; replay has none, it runs the config it reads.
+_COMMANDS = {
+    "run": ("Feed an input sequence to a machine; print outputs and the state path.", _exec_run),
+    "analyze": ("State classes, adjacency, exact stationary frequencies, and the error floor.", _exec_analyze),
+    "predict": ("Run a predictor online against one generated sequence.", _exec_predict),
+    "evaluate": ("Average/worst-case prediction error, exact or sampled.", _exec_evaluate),
+    "batch-select": ("Choose the predictor with the least expected continuation error.", _exec_batch_select),
+    "enumerate": ("Stream machine serializations (or just count them), one record each.", _exec_enumerate),
+    "search": ("Exhaustively find the best k-state predicting automaton.", _exec_search),
+    "replay": ("Re-run an experiment from a config file or a previous report.", None),
 }
-
-
-def _execute(config: dict) -> dict:
-    payload = _EXECUTORS[config["command"]](config)
-    return {
-        "tool": "mealypred",
-        "version": __version__,
-        "command": config["command"],
-        "config": config,
-        "machines": payload["machines"],
-        "result": payload["result"],
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -334,28 +324,19 @@ def _render_human(report: dict, timestamps: bool) -> str:
         lines.append(f"machine: {m['path']} ({m['states']} states, id {m['id'][:16]})")
     lines.append("")
 
-    def emit(prefix: str, value: dict):
-        for k, v in value.items():
-            if isinstance(v, dict):
-                emit(f"{prefix}{k}.", v)
-            else:
-                emit_kv(f"{prefix}{k}", v)
-
-    def emit_kv(key: str, value):
-        if isinstance(value, list) and value and isinstance(value[0], dict):
-            for i, item in enumerate(value):
-                emit(f"{key}[{i}].", item)
+    def emit(key: str, value):
+        """Dicts and lists holding dicts or multiline strings are walked, one
+        line per other value; a multiline string is a block of its own."""
+        if isinstance(value, dict):
+            for k, v in value.items():
+                emit(f"{key}.{k}" if key else k, v)
         elif isinstance(value, list) and any(
-            isinstance(v, str) and "\n" in v for v in value
+            isinstance(v, dict) or isinstance(v, str) and "\n" in v for v in value
         ):
             for i, v in enumerate(value):
-                lines.append(f"{key}[{i}]:")
-                lines.append(str(v).rstrip("\n"))
-                lines.append("")
+                emit(f"{key}[{i}]", v)
         elif isinstance(value, str) and "\n" in value:
-            lines.append(f"{key}:")
-            lines.append(value.rstrip("\n"))
-            lines.append("")
+            lines.extend((f"{key}:", value.rstrip("\n"), ""))
         elif isinstance(value, list):
             lines.append(f"{key}: {' '.join(str(v) for v in value)}")
         else:
@@ -365,25 +346,34 @@ def _render_human(report: dict, timestamps: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _sink(out: str | None):
+    """The file ``--out`` names, else stdout, to write in a ``with`` block."""
+    return open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout)
+
+
 def _run_command(config: dict, fmt: str, out: str | None, timestamps: bool):
     """Execute a config and emit its report."""
-    report = _execute(config)
+    _, execute = _COMMANDS[config["command"]]
+    report = {
+        "tool": "mealypred",
+        "version": __version__,
+        "command": config["command"],
+        "config": config,
+        **execute(config),  # its machines, then its result
+    }
     if fmt == "json":
         text = json.dumps(report, indent=2) + "\n"
     else:
         text = _render_human(report, timestamps)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _sink(out) as fh:
+        fh.write(text)
 
 
 def _stream_enumeration(config: dict, out: str | None):
     """Human ``enumerate``: one machine per blank-line separated record, or
     the bare count, without a report wrapper."""
     k, mode, cap = config["k"], config["mode"], config.get("cap_k")
-    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as sink:
+    with _sink(out) as sink:
         if config["count_only"]:
             sink.write(f"{count_machines(k, mode, cap=cap)}\n")
         else:
@@ -477,16 +467,6 @@ _FIELDS = (
 
 _JSON_TYPES = {int: "an integer", str: "a string", bool: "a boolean", list: "a list of strings"}
 
-_COMMANDS = {
-    "run": "Feed an input sequence to a machine; print outputs and the state path.",
-    "analyze": "State classes, adjacency, exact stationary frequencies, and the error floor.",
-    "predict": "Run a predictor online against one generated sequence.",
-    "evaluate": "Average/worst-case prediction error, exact or sampled.",
-    "batch-select": "Choose the predictor with the least expected continuation error.",
-    "enumerate": "Stream machine serializations (or just count them), one record each.",
-    "search": "Exhaustively find the best k-state predicting automaton.",
-    "replay": "Re-run an experiment from a config file or a previous report.",
-}
 _CAPPED = {c for f in _FIELDS if f.cap for c in f.defaults} | {"replay"}
 _IGNORE_WORKERS = ("evaluate", "search", "replay")
 
@@ -512,7 +492,7 @@ def _config_problem(config) -> str | None:
     if not isinstance(config, dict):
         return "not a JSON object"
     command = config.get("command")
-    if not isinstance(command, str) or command not in _EXECUTORS:
+    if not isinstance(command, str) or _COMMANDS.get(command, (None, None))[1] is None:
         return "not a replayable config"
     for f in _FIELDS:
         if f.key not in config:
@@ -560,7 +540,7 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="Log debug messages (search and exact-walk counters among them) to stderr.")
     commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for command, doc in _COMMANDS.items():
+    for command, (doc, _) in _COMMANDS.items():
         sub = commands.add_parser(command, help=doc, description=doc, allow_abbrev=False)
         if command == "replay":
             sub.add_argument("config_file", help="A config or a report ('-' for stdin).")

@@ -20,7 +20,6 @@ from typing import Iterator
 import numpy as np
 
 from .automaton import MealyMachine
-from .evaluation import CapExceeded
 
 RAW_K_CAP = 3
 CANONICAL_K_CAP = 4
@@ -28,6 +27,10 @@ CHUNK_ROWS = 1 << 13  # most raw rows per table chunk: k=3 spans 6 chunks, k=4 s
 
 _TABLE_MODES = ("raw", "canonical")
 _MODES = _TABLE_MODES + ("strongly_connected",)
+
+
+class CapExceeded(RuntimeError):
+    """A requested sweep is larger than the configured safety cap."""
 
 
 def raw_machine_count(k: int) -> int:

@@ -17,8 +17,9 @@ outgrows ``FRONTIER_BUDGET`` (node, state) pairs is refused with
 :class:`CapExceeded`.
 
 In the batch setting the consistent (input sequence, machine) pairs of
-training data are the count vector of one lenient ensemble of the candidate
-machines that has observed it, the *pool*: per candidate its pair count, per
+training data are the count vector of the training pool
+(:func:`~mealypred.predictors.training_pool`), one lenient ensemble of the
+candidate machines that has observed it: per candidate its pair count, per
 state of the candidates' disjoint union the pairs ending there. Batch
 selection scores each predictor with one walk over that union, started from
 the pool's counts, as its expected continuation error per consistent pair
@@ -57,6 +58,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .automaton import Bits, MealyMachine, machine_id
+from .enumeration import CapExceeded, enumerate_machines
 from .predictors import (
     AutomatonPredictor,
     ConsistencyPredictor,
@@ -64,6 +66,7 @@ from .predictors import (
     EnsemblePredictor,
     KnownStatePredictor,
     Predictor,
+    training_pool,
 )
 
 log = logging.getLogger(__name__)
@@ -75,10 +78,6 @@ _FINITE = (KnownStatePredictor, ConstantPredictor, AutomatonPredictor)  # finite
 
 EXHAUSTIVE_T_CAP = 24
 FRONTIER_BUDGET = 1 << 18  # (node, state) pairs of one depth; a few hundred bytes each
-
-
-class CapExceeded(RuntimeError):
-    """A requested sweep is larger than the configured safety cap."""
 
 
 class InconsistentTrainingData(ValueError):
@@ -117,9 +116,9 @@ class ErrorReport:
             "machine_id": self.machine_id,
             "predictor_id": self.predictor_id,
             "t": self.t,
-            "e_ave": _rational_str(self.e_ave),
+            "e_ave": rational_str(self.e_ave),
             "e_ave_float": float(self.e_ave),
-            "e_wc": _rational_str(self.e_wc),
+            "e_wc": rational_str(self.e_wc),
             "e_wc_float": float(self.e_wc),
             "method": self.method,
         }
@@ -129,11 +128,12 @@ class ErrorReport:
             d["rng"] = self.rng
             d["wc_is_lower_bound"] = self.wc_is_lower_bound
         if self.per_step_errors is not None:
-            d["per_step_errors"] = [_rational_str(x) for x in self.per_step_errors]
+            d["per_step_errors"] = [rational_str(x) for x in self.per_step_errors]
         return d
 
 
-def _rational_str(x) -> str:
+def rational_str(x) -> str:
+    """An exact rational as "num/den"; a float estimate as its repr."""
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
     return repr(float(x))
@@ -508,22 +508,6 @@ def evaluate_monte_carlo(
 # ---------------------------------------------------------------------------
 # batch setting
 
-def _pool(machines: Sequence[MealyMachine], observed: Bits) -> EnsemblePredictor:
-    """The lenient ensemble of ``machines`` after ``observed``: its counts are
-    the consistent (input sequence, machine) pairs by end state of the union."""
-    pool = EnsemblePredictor(machines, strict=False)
-    for bit in observed:
-        if not pool.consistent:
-            break
-        pool.observe(bit)
-    return pool
-
-
-def consistency_profile(machine: MealyMachine, observed: Bits) -> tuple[int, ...]:
-    """Per-state counts of input sequences consistent with an observed prefix."""
-    return _pool((machine,), observed).consistency_vector
-
-
 @dataclass(frozen=True)
 class BatchProblem:
     """Training data plus the candidate machines and predictors to choose among."""
@@ -558,7 +542,7 @@ class PredictorScore:
         return {
             "label": self.label,
             "index": self.index,
-            "score": _rational_str(self.score),
+            "score": rational_str(self.score),
             "score_float": float(self.score),
             "training_errors": self.training_errors,
             "model_died_in_training": self.model_died_in_training,
@@ -618,7 +602,7 @@ def batch_select(
     if weighting not in ("pairs", "machines"):
         raise ValueError(f"unknown weighting {weighting!r}")
     delta = problem.horizon - len(problem.training)
-    pool = _pool(problem.machines, problem.training)
+    pool = training_pool(problem.machines, problem.training)
     pair_counts = pool.pair_counts()
     if not any(pair_counts):
         raise InconsistentTrainingData(
@@ -692,8 +676,6 @@ def find_selection_witness(
     predictor to beat every training-error minimizer strictly, so the
     mismatch cannot be an artifact of tie-breaking. Returns the first hit.
     """
-    from .enumeration import enumerate_machines
-
     machines: list[MealyMachine] = []
     for k in range(1, max_states + 1):
         machines.extend(enumerate_machines(k, "canonical"))
@@ -703,7 +685,7 @@ def find_selection_witness(
     for ln in range(1, max_training_len + 1):
         for value in range(1 << ln):
             training = Bits(value, ln)
-            candidates = set(_pool(machines, training).alive())
+            candidates = set(training_pool(machines, training).alive())
             if not candidates:
                 continue
             for i, j in combinations(range(len(machines)), 2):

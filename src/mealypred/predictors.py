@@ -12,10 +12,10 @@ requires. The model-tracking predictors share one count vector: the ensemble
 is the consistency predictor of the disjoint union of its candidates, and the
 consistency predictor reads its machine's tables alone, keeping per observed
 bit and state the successors of the inputs that emit that bit. The ensemble's
-``pair_counts`` sums its vector per candidate: a lenient ensemble that has
-observed training data is where evaluation and search read the consistent
-(input sequence, machine) pairs. A label that names a machine hashes it only
-when read.
+``pair_counts`` sums its vector per candidate. :func:`training_pool`, a
+lenient ensemble that has observed training data, is where batch selection and
+search read the consistent (input sequence, machine) pairs. A label that names
+a machine hashes it only when read.
 """
 
 from __future__ import annotations
@@ -260,6 +260,17 @@ class EnsemblePredictor(ConsistencyPredictor):
 
     def _impossible(self, bit: int) -> str:
         return "observed prefix is impossible for every machine in the ensemble"
+
+
+def training_pool(machines: Sequence[MealyMachine], observed: Bits) -> EnsemblePredictor:
+    """The lenient ensemble of ``machines`` after ``observed``: its counts are
+    the consistent (input sequence, machine) pairs by end state of the union."""
+    pool = EnsemblePredictor(machines, strict=False)
+    for bit in observed:
+        if not pool.consistent:
+            break
+        pool.observe(bit)
+    return pool
 
 
 class AutomatonPredictor(Predictor):

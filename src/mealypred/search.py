@@ -9,9 +9,9 @@ The candidates arrive as integer ``(next, out)`` tables from
 :func:`~mealypred.enumeration.machine_tables`, a chunk at a time, and every
 candidate of a chunk is scored at once (against large targets, in smaller
 batches that bound the memory). The targets are read through their
-training pool (see :mod:`~mealypred.evaluation`): its machine is their
-disjoint union and its count vector, the consistent pairs per union state,
-is the start vector. The pass works backward from the horizon: a
+training pool (:func:`~mealypred.predictors.training_pool`): its machine is
+their disjoint union and its count vector, the consistent pairs per union
+state, is the start vector. The pass works backward from the horizon: a
 candidate's value at a (candidate state, pending guess, target state)
 triple is its error summed over every continuation from there, and one
 gather per depth advances the values of the whole batch. They do not depend
@@ -32,8 +32,9 @@ from typing import Sequence
 import numpy as np
 
 from .automaton import Bits, MealyMachine, machine_id, serialize_machine
-from .enumeration import CHUNK_ROWS, machine_tables
-from .evaluation import EXHAUSTIVE_T_CAP, CapExceeded, InconsistentTrainingData, _pool
+from .enumeration import CHUNK_ROWS, CapExceeded, machine_tables
+from .evaluation import EXHAUSTIVE_T_CAP, InconsistentTrainingData, rational_str
+from .predictors import training_pool
 
 log = logging.getLogger(__name__)
 
@@ -58,12 +59,12 @@ class SearchResult:
             "target_ids": list(self.target_ids),
             "search_space_size": self.search_space_size,
             "evaluated": self.evaluated,
-            "best_score": f"{self.best_score.numerator}/{self.best_score.denominator}",
+            "best_score": rational_str(self.best_score),
             "best_score_float": float(self.best_score),
             "best_machine": serialize_machine(self.best),
             "leaderboard": [
                 {
-                    "score": f"{score.numerator}/{score.denominator}",
+                    "score": rational_str(score),
                     "score_float": float(score),
                     "machine": serialize_machine(m),
                 }
@@ -123,7 +124,7 @@ def search_after_training(
         raise ValueError("continuation length must be at least 1")
     if top_n < 1:
         raise ValueError("leaderboard size must be at least 1")
-    pool = _pool(targets, training)
+    pool = training_pool(targets, training)
     start = pool.consistency_vector
     if not any(start):
         raise InconsistentTrainingData(

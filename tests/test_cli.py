@@ -802,3 +802,27 @@ class TestGoldenMonteCarlo:
                 args += ["--candidates", machine_files[name]]
         result = run_json(runner, args)["result"]
         assert json.dumps(result, indent=2) == json.dumps(case["result"], indent=2)
+
+
+GOLDEN_HUMAN = json.loads((Path(__file__).parent / "golden" / "human.json").read_text())
+
+
+class TestGoldenHuman:
+    """Human-format output, one command line per report shape: each must print
+    the same text and exit with the same code. Machine files are named by
+    relative paths, so the text does not depend on where the test runs."""
+
+    @pytest.fixture
+    def workdir(self, runner, tmp_path, monkeypatch):
+        for name, machine in [("demo8", eight_state_example()), ("echo", echo_machine()),
+                              ("const0", constant_machine(0))]:
+            (tmp_path / f"{name}.mealy").write_text(serialize_machine(machine))
+        monkeypatch.chdir(tmp_path)
+        for args in (["enumerate", "-k", "1", "--out", "enumerate.json"],
+                     ["search", "-k", "1", "-t", "4", "--target", "demo8.mealy", "--out", "search.json"]):
+            assert runner.invoke(main, args + ["--format", "json"]).exit_code == 0
+
+    @pytest.mark.parametrize("case", GOLDEN_HUMAN, ids=[c["name"] for c in GOLDEN_HUMAN])
+    def test_output_is_unchanged(self, runner, workdir, case):
+        result = runner.invoke(main, case["argv"])
+        assert (result.exit_code, result.stdout) == (case["exit_code"], case["stdout"])

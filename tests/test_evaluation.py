@@ -20,10 +20,10 @@ from mealypred import (
     MealyMachine,
     Bits,
     batch_select,
-    consistency_profile,
     default_batch_predictors,
     evaluate_exhaustive,
     evaluate_monte_carlo,
+    training_pool,
 )
 from mealypred.evaluation import PredictorScore, _Nodes, _generic_totals, _lenient, _sweep_consistency
 from mealypred.machines import (
@@ -543,7 +543,7 @@ class TestBatchSelect:
             t, horizon = 3, 7
             training_value = rng.randrange(1 << t)
             training = Bits(training_value, t)
-            if not any(any(consistency_profile(m, training)) for m in machines):
+            if not any(any(training_pool((m,), training).consistency_vector) for m in machines):
                 continue
             problem = BatchProblem(
                 machines=machines,
@@ -591,7 +591,7 @@ class TestBatchSelect:
         noisy = random_machine(2, random.Random(99))
         machines = (const0, noisy)
         training = Bits.from_string("00")
-        if not any(consistency_profile(noisy, training)):
+        if not any(training_pool((noisy,), training).consistency_vector):
             pytest.skip("unlucky machine draw")
         problem = BatchProblem(
             machines=machines,

@@ -1,0 +1,65 @@
+"""The package's import graph, read from the source: modules share only public
+names, import each other at module level, and the library modules below the
+drivers import none of them."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import mealypred
+
+SOURCES = {p.stem: ast.parse(p.read_text(), str(p)) for p in Path(mealypred.__file__).parent.glob("*.py")}
+LIBRARY = ("automaton", "predictors", "enumeration", "spectral")
+DRIVERS = {"evaluation", "search", "cli"}
+
+
+def _package_imports(tree):
+    """(package module, imported name or None) for every import of a package
+    module in ``tree``; ``from . import x`` imports module x if the package
+    has one, else the name x of the package itself."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("mealypred."):
+                    yield alias.name.split(".")[1], None
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                if module != "mealypred" and not module.startswith("mealypred."):
+                    continue
+                module = module.partition(".")[2]
+            for alias in node.names:
+                if module:
+                    yield module.split(".")[0], alias.name
+                elif alias.name in SOURCES:
+                    yield alias.name, None
+                else:
+                    yield "__init__", alias.name
+
+
+@pytest.fixture(scope="module")
+def imports():
+    return {name: list(_package_imports(tree)) for name, tree in SOURCES.items()}
+
+
+def test_no_private_name_crosses_modules(imports):
+    crossing = [f"{name}: {module}.{imported}" for name, found in imports.items()
+                for module, imported in found
+                if imported and imported.startswith("_") and not imported.endswith("__")]
+    assert crossing == []
+
+
+def test_package_modules_are_imported_at_module_level():
+    inside = []
+    for name, tree in SOURCES.items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inside += [f"{name}.{fn.name}: {module}" for module, _ in _package_imports(fn)]
+    assert inside == []
+
+
+def test_library_modules_import_no_driver(imports):
+    upward = [f"{name}: {module}" for name in LIBRARY for module, _ in imports[name]
+              if module in DRIVERS]
+    assert upward == []
