@@ -60,6 +60,7 @@ from .predictors import (
     KnownStatePredictor,
     Predictor,
     PredictorTrace,
+    run_beside,
     trace_predictor,
     training_pool,
 )

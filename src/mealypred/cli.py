@@ -325,13 +325,13 @@ def _render_human(report: dict, timestamps: bool) -> str:
     lines.append("")
 
     def emit(key: str, value):
-        """Dicts and lists holding dicts or multiline strings are walked, one
-        line per other value; a multiline string is a block of its own."""
+        """Dicts and lists holding dicts, lists or multiline strings are walked,
+        one line per other value; a multiline string is a block of its own."""
         if isinstance(value, dict):
             for k, v in value.items():
                 emit(f"{key}.{k}" if key else k, v)
         elif isinstance(value, list) and any(
-            isinstance(v, dict) or isinstance(v, str) and "\n" in v for v in value
+            isinstance(v, (dict, list)) or isinstance(v, str) and "\n" in v for v in value
         ):
             for i, v in enumerate(value):
                 emit(f"{key}[{i}]", v)

@@ -34,10 +34,12 @@ sums stay below 2**52, so every product and partial sum stays below 2**53.
 Past that bound each column is divided by its gcd, which changes no guess;
 columns that still do not fit move to int64, exact below 2**62, and past
 that, after another gcd, to Python integers. The finite-state predictors
-(known-state, constant, automaton) run beside the generator as one product
-machine on input bits, the same pair table expanded to a fixpoint, so each
-step costs two table lookups. Any other predictor, a subclass of a built-in
-one included, goes through a per-sequence loop.
+(known-state, automaton, and constant, the one-state automaton) run beside
+the generator as one product machine on input bits, the same pair table
+expanded to a fixpoint, so each step costs two table lookups. Any other
+predictor, a subclass of a built-in one included, runs the online protocol
+(:func:`~mealypred.predictors.run_beside`) per sample. Each path overwrites
+the sampled bits with its misses, which are summed once.
 
 Predictors whose machine model is contradicted by an observation are scored
 leniently here, by every engine: a dead model keeps emitting the tie-rule 0.
@@ -53,12 +55,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .automaton import Bits, MealyMachine, machine_id
 from .enumeration import CapExceeded, enumerate_machines
+from .machines import echo_machine
 from .predictors import (
     AutomatonPredictor,
     ConsistencyPredictor,
@@ -66,6 +69,7 @@ from .predictors import (
     EnsemblePredictor,
     KnownStatePredictor,
     Predictor,
+    run_beside,
     training_pool,
 )
 
@@ -78,6 +82,7 @@ _FINITE = (KnownStatePredictor, ConstantPredictor, AutomatonPredictor)  # finite
 
 EXHAUSTIVE_T_CAP = 24
 FRONTIER_BUDGET = 1 << 18  # (node, state) pairs of one depth; a few hundred bytes each
+_ECHO = echo_machine()  # emits its input bits, so training bits run beside it unchanged
 
 
 class InconsistentTrainingData(ValueError):
@@ -153,9 +158,9 @@ def _lenient(predictor: Predictor):
 
 
 # ---------------------------------------------------------------------------
-# vectorized Monte Carlo sweeps (integer error totals over sampled inputs)
+# Monte Carlo sweeps, each overwriting column i of the sampled bits with step i's misses
 
-def _sweep_consistency(machine: MealyMachine, predictor: ConsistencyPredictor, bits: np.ndarray) -> tuple[int, int, list[int]]:
+def _sweep_consistency(machine: MealyMachine, predictor: ConsistencyPredictor, bits: np.ndarray) -> None:
     """Count kernel: the consistency counts of every sample, one column each."""
     # w = [m0; m1; lean]: m[o][j, i] counts the inputs taking the predictor's
     # machine from state i to state j while emitting o; a column guesses 1
@@ -180,8 +185,7 @@ def _sweep_consistency(machine: MealyMachine, predictor: ConsistencyPredictor, b
     rung, limit = next(r for r in rungs if bound < r[1])
     counts, ws = np.repeat(np.array(start, dtype=rung)[:, None], n, axis=1), w.astype(rung)
     at = np.full(n, 2 * machine.initial_state, dtype=np.int64)  # 2 * generator state
-    seq_err = np.zeros(n, dtype=np.int64)
-    step_totals, normalised = [], []
+    normalised = []
     for i in range(t):
         if bound >= limit:
             ints = counts.astype(np.int64)
@@ -193,26 +197,23 @@ def _sweep_consistency(machine: MealyMachine, predictor: ConsistencyPredictor, b
         at += bits[:, i]
         o = out[at]
         nxt = ws @ counts
-        e = (nxt[2 * k] > 0) != o
-        seq_err += e
-        step_totals.append(int(np.count_nonzero(e)))
+        bits[:, i] = (nxt[2 * k] > 0) != o
         at = succ[at]
         counts = np.where(o, nxt[k:2 * k], nxt[:k])
         bound *= 2
     log.debug("count kernel, %d samples, t=%d: columns normalised at depths %s, ended on %s",
               n, t, normalised, counts.dtype)
-    return int(seq_err.sum()), int(seq_err.max()), step_totals
 
 
-def _product_machine(machine: MealyMachine, predictor: Predictor) -> np.ndarray:
+def _product_machine(machine: MealyMachine, predictor: Predictor) -> tuple[np.ndarray, int]:
     """The predictor run beside the generator, as one machine on input bits.
 
     Its nodes are the (snapshot node, generator state) pairs reachable from
     the predictor's current snapshot and the initial state, each expanded
     once. Returns their edges, flat at ``2 * pair + input bit``: ``2 * next
     pair + miss``, where ``miss`` is 1 if the guess differs from the
-    generator's output. The walk ends only for predictors with finitely many
-    snapshots.
+    generator's output, and the number of pairs. The walk ends only for
+    predictors with finitely many snapshots.
     """
     nodes = _Nodes(machine, predictor)
     pairs, seen = [machine.initial_state], {machine.initial_state}
@@ -223,27 +224,23 @@ def _product_machine(machine: MealyMachine, predictor: Predictor) -> np.ndarray:
                 seen.add(e >> 1)
                 pairs.append(e >> 1)
     predictor.restore(nodes.root)
-    return np.frombuffer(nodes.edges, dtype=np.int64)
+    return np.frombuffer(nodes.edges, dtype=np.int64), len(pairs)
 
 
-def _sweep_product(machine: MealyMachine, predictor: Predictor, bits: np.ndarray) -> tuple[int, int, list[int]]:
+def _sweep_product(machine: MealyMachine, predictor: Predictor, bits: np.ndarray) -> None:
     """Run the product machine of a finite-state predictor over every sample."""
     # Both tables read flat at 2 * pair + input bit: one index per step and
     # 1-D gathers; 2-D [pair, bit] gathers took 2.5 times as long at t=200
     # with 10,000 samples.
-    edges = _product_machine(machine, predictor)
+    edges, pairs = _product_machine(machine, predictor)
     succ, miss = edges & -2, edges & 1
     n, t = bits.shape
     at = np.full(n, 2 * machine.initial_state, dtype=np.int64)  # 2 * pair
-    seq_err = np.zeros(n, dtype=np.int64)
-    step_totals = []
     for i in range(t):
         at += bits[:, i]
-        e = miss[at]
-        seq_err += e
-        step_totals.append(int(e.sum()))
+        bits[:, i] = miss[at]
         at = succ[at]
-    return int(seq_err.sum()), int(seq_err.max()), step_totals
+    log.debug("product machine, %d samples, t=%d: %d (node, state) pairs expanded", n, t, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -366,44 +363,6 @@ def _frontier_totals(machine: MealyMachine, predictor: Predictor, t: int, start:
 
 
 # ---------------------------------------------------------------------------
-# per-sequence loop
-
-def _generic_totals(
-    machine: MealyMachine,
-    predictor: Predictor,
-    t: int,
-    sequences: Iterable[int],
-) -> tuple[int, int, list[int]]:
-    """Per-sequence loop over bit-packed inputs; works for any predictor.
-
-    Monte Carlo runs every predictor not of a built-in class through it, and
-    the tests use it as the reference for the other engines.
-    """
-    trans = machine.transition
-    out = machine.output
-    total, wc = 0, 0
-    step = [0] * t
-    for g in sequences:
-        predictor.reset()
-        s = machine.initial_state
-        errs = 0
-        for i in range(t):
-            b = (g >> i) & 1
-            predictor.inform_state(s)
-            p = predictor.predict()
-            o = out[s][b]
-            if p != o:
-                errs += 1
-                step[i] += 1
-            predictor.observe(o)
-            s = trans[s][b]
-        total += errs
-        if errs > wc:
-            wc = errs
-    return total, wc, step
-
-
-# ---------------------------------------------------------------------------
 # dispatch
 
 def _check_informed(machine: MealyMachine, predictor: Predictor) -> None:
@@ -481,15 +440,15 @@ def evaluate_monte_carlo(
     with _lenient(predictor):
         predictor.reset()
         if type(predictor) in _COUNTING:
-            total, wc, step = _sweep_consistency(machine, predictor, bits)
+            _sweep_consistency(machine, predictor, bits)
         elif type(predictor) in _FINITE:
-            total, wc, step = _sweep_product(machine, predictor, bits)
+            _sweep_product(machine, predictor, bits)
         else:
-            packed = (
-                int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-                for row in bits
-            )
-            total, wc, step = _generic_totals(machine, predictor, t, packed)
+            for row in bits:
+                row[:] = [guess != out for guess, out in run_beside(machine, predictor, row.tolist())]
+            log.debug("online protocol, %d samples, t=%d", samples, t)
+    misses = bits.sum(axis=1)  # bits now holds the misses, per sample and step
+    total, wc = int(misses.sum()), int(misses.max())
     return ErrorReport(
         machine_id=machine_id(machine),
         predictor_id=predictor.label,
@@ -501,7 +460,7 @@ def evaluate_monte_carlo(
         seed=seed,
         rng="pcg64",
         wc_is_lower_bound=True,
-        per_step_errors=tuple(c / samples for c in step) if per_step else None,
+        per_step_errors=tuple(c / samples for c in bits.sum(axis=0).tolist()) if per_step else None,
     )
 
 
@@ -570,12 +529,9 @@ class BatchSelection:
 
 
 def _train_predictor(predictor: Predictor, training: Bits) -> tuple[int, bool]:
-    """Drive a predictor through the training bits; returns (errors, model died)."""
-    predictor.reset()
-    errors = 0
-    for bit in training:
-        errors += int(predictor.predict() != bit)
-        predictor.observe(bit)
+    """Drive a predictor through the training bits, which the echo machine
+    emits on them as input; returns (errors, model died)."""
+    errors = sum(guess != bit for guess, bit in run_beside(_ECHO, predictor, training))
     died = isinstance(predictor, ConsistencyPredictor) and not predictor.consistent
     return errors, died
 

@@ -2,10 +2,11 @@
 
 All predictors share one protocol: call ``predict()`` for the upcoming bit,
 then ``observe()`` the bit that actually arrived; ``reset()`` returns to the
-initial knowledge state. A prediction may depend only on the observed prefix,
-with one sanctioned exception: :class:`KnownStatePredictor` is granted the
-generator's true state through ``inform_state`` (evaluation drivers call it
-before every ``predict``) and exists to measure the perfect-knowledge floor.
+initial knowledge state. :func:`run_beside` runs it beside a generator. A
+prediction may depend only on the observed prefix, with one sanctioned
+exception: :class:`KnownStatePredictor` is granted the generator's true state
+through ``inform_state`` (evaluation drivers call it before every
+``predict``) and exists to measure the perfect-knowledge floor.
 
 Every predictor offers ``snapshot``/``restore``, which exact evaluation
 requires. The model-tracking predictors share one count vector: the ensemble
@@ -24,9 +25,10 @@ import logging
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .automaton import Bits, MealyMachine, machine_id
+from .machines import constant_machine
 
 log = logging.getLogger(__name__)
 
@@ -63,31 +65,6 @@ class Predictor(ABC):
 
     @abstractmethod
     def restore(self, snap) -> None: ...
-
-
-class ConstantPredictor(Predictor):
-    """Always predicts the same bit."""
-
-    def __init__(self, bit: int):
-        if bit not in (0, 1):
-            raise ValueError("bit must be 0 or 1")
-        self.bit = bit
-        self.label = f"always-{bit}"
-
-    def reset(self):
-        pass
-
-    def predict(self) -> int:
-        return self.bit
-
-    def observe(self, bit: int):
-        pass
-
-    def snapshot(self):
-        return None
-
-    def restore(self, snap):
-        pass
 
 
 class KnownStatePredictor(Predictor):
@@ -309,6 +286,34 @@ class AutomatonPredictor(Predictor):
         self._state, self._pending = snap
 
 
+class ConstantPredictor(AutomatonPredictor):
+    """Always predicts the same bit: the one-state machine emitting it."""
+
+    def __init__(self, bit: int):
+        if bit not in (0, 1):
+            raise ValueError("bit must be 0 or 1")
+        self.bit = bit
+        super().__init__(constant_machine(bit))
+
+    @property
+    def label(self) -> str:
+        return f"always-{self.bit}"
+
+
+def run_beside(machine: MealyMachine, predictor: Predictor, bits: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """The online protocol: reset ``predictor``, then per input bit tell it
+    the generator's state, take its guess, show it the bit ``machine`` emits
+    and yield (guess, emitted bit)."""
+    predictor.reset()
+    state = machine.initial_state
+    for b in bits:
+        predictor.inform_state(state)
+        guess = predictor.predict()
+        state, out = machine.step(state, b)
+        predictor.observe(out)
+        yield guess, out
+
+
 @dataclass(frozen=True)
 class PredictorTrace:
     """Step-by-step record of one prediction run."""
@@ -336,22 +341,10 @@ def trace_predictor(
     output bit one step ahead."""
     if isinstance(input_bits, str):
         input_bits = Bits.from_string(input_bits)
-    predictor.reset()
-    state = machine.initial_state
-    predictions: list[int] = []
-    observed: list[int] = []
-    cumulative: list[int] = []
-    errors = 0
-    for b in input_bits:
-        predictor.inform_state(state)
-        p = predictor.predict()
-        state, out = machine.step(state, b)
-        errors += int(p != out)
-        predictor.observe(out)
-        predictions.append(p)
-        observed.append(out)
-        cumulative.append(errors)
-    consistent = getattr(predictor, "consistent", True)
+    steps = list(run_beside(machine, predictor, input_bits))
     return PredictorTrace(
-        tuple(predictions), tuple(observed), tuple(cumulative), bool(consistent)
+        tuple(g for g, _ in steps),
+        tuple(o for _, o in steps),
+        tuple(accumulate(int(g != o) for g, o in steps)),
+        bool(getattr(predictor, "consistent", True)),
     )

@@ -43,8 +43,6 @@ log = logging.getLogger(__name__)
 class SearchResult:
     """Outcome of an exhaustive predictor search, best first."""
 
-    best: MealyMachine
-    best_score: Fraction
     leaderboard: tuple[tuple[MealyMachine, Fraction], ...]
     search_space_size: int
     evaluated: int
@@ -52,7 +50,16 @@ class SearchResult:
     horizon: int
     target_ids: tuple[str, ...]
 
+    @property
+    def best(self) -> MealyMachine:
+        return self.leaderboard[0][0]
+
+    @property
+    def best_score(self) -> Fraction:
+        return self.leaderboard[0][1]
+
     def to_dict(self) -> dict:
+        board = [(serialize_machine(m), score) for m, score in self.leaderboard]
         return {
             "num_states": self.num_states,
             "horizon": self.horizon,
@@ -61,14 +68,14 @@ class SearchResult:
             "evaluated": self.evaluated,
             "best_score": rational_str(self.best_score),
             "best_score_float": float(self.best_score),
-            "best_machine": serialize_machine(self.best),
+            "best_machine": board[0][0],
             "leaderboard": [
                 {
                     "score": rational_str(score),
                     "score_float": float(score),
-                    "machine": serialize_machine(m),
+                    "machine": text,
                 }
-                for m, score in self.leaderboard
+                for text, score in board
             ],
         }
 
@@ -178,10 +185,7 @@ def search_after_training(
         (MealyMachine(k, trans, outs, 0), Fraction(total, denom))
         for trans, outs, total in zip(board_next.tolist(), board_out.tolist(), board.tolist())
     )
-    best_machine, best_score = leaderboard[0]
     return SearchResult(
-        best=best_machine,
-        best_score=best_score,
         leaderboard=leaderboard,
         search_space_size=space,
         evaluated=space,

@@ -132,6 +132,37 @@ def predictor_error_double_sum(machine, predict, t: int) -> Fraction:
     return Fraction(errors, t * (1 << t))
 
 
+def predictor_totals(machine, predictor, t: int, sequences) -> tuple[int, int, list[int]]:
+    """Misses of any predictor object run online beside the machine, over
+    bit-packed inputs: (total, most in one sequence, per step).
+
+    Per sequence it resets the predictor; per step it tells the predictor the
+    machine's state, takes its guess and then shows it the emitted bit.
+    """
+    trans = machine.transition
+    out = machine.output
+    total, wc = 0, 0
+    step = [0] * t
+    for g in sequences:
+        predictor.reset()
+        s = machine.initial_state
+        errs = 0
+        for i in range(t):
+            b = (g >> i) & 1
+            predictor.inform_state(s)
+            p = predictor.predict()
+            o = out[s][b]
+            if p != o:
+                errs += 1
+                step[i] += 1
+            predictor.observe(o)
+            s = trans[s][b]
+        total += errs
+        if errs > wc:
+            wc = errs
+    return total, wc, step
+
+
 def continuation_error_double_sum(machine, training, predict, c: int) -> tuple[int, int]:
     """Continuation misses after observed training bits, by the literal sum.
 

@@ -25,7 +25,7 @@ from mealypred import (
     evaluate_monte_carlo,
     training_pool,
 )
-from mealypred.evaluation import PredictorScore, _Nodes, _generic_totals, _lenient, _sweep_consistency
+from mealypred.evaluation import PredictorScore, _Nodes, _lenient, _sweep_consistency
 from mealypred.machines import (
     alternating_ring,
     biased_unbiased_ring,
@@ -151,7 +151,7 @@ class TestExhaustive:
             for p in predictors:
                 fast = evaluate_exhaustive(m, p, t, per_step=True)
                 with _lenient(p):
-                    total, wc, step = _generic_totals(m, p, t, range(1 << t))
+                    total, wc, step = oracles.predictor_totals(m, p, t, range(1 << t))
                 assert fast.e_ave == Fraction(total, t * (1 << t))
                 assert fast.e_wc == Fraction(wc, t)
                 assert fast.per_step_errors == tuple(
@@ -224,7 +224,7 @@ def _union_rule(members, t):
 
 class TestMergedWalk:
     """The snapshot-interning walk against the literal double sum and the
-    per-sequence loop, for the predictors whose nodes are gcd-keyed."""
+    oracle's per-sequence loop, for the predictors whose nodes are gcd-keyed."""
 
     @staticmethod
     def _cases():
@@ -247,7 +247,7 @@ class TestMergedWalk:
             r = evaluate_exhaustive(m, p, t, per_step=True)
             assert r.e_ave == oracles.predictor_error_double_sum(m, _union_rule(members, t), t)
             with _lenient(p):
-                total, wc, step = _generic_totals(m, p, t, range(1 << t))
+                total, wc, step = oracles.predictor_totals(m, p, t, range(1 << t))
             assert r.e_ave == Fraction(total, t * (1 << t))
             assert r.e_wc == Fraction(wc, t)
             assert r.per_step_errors == tuple(Fraction(c, 1 << t) for c in step)
@@ -302,12 +302,12 @@ class TestMonteCarlo:
 
     @staticmethod
     def _assert_matches_loop(m, p, t, samples=100, seed=3):
-        """The vectorised sweep against the per-sequence loop on the same bits."""
+        """Monte Carlo against the oracle's per-sequence loop on the same bits."""
         bits = np.random.default_rng(seed).integers(0, 2, size=(samples, t), dtype=np.uint8)
         packed = [sum(int(b) << i for i, b in enumerate(row)) for row in bits]
         fast = evaluate_monte_carlo(m, p, t, samples, seed, per_step=True)
         with _lenient(p):
-            total, wc, step = _generic_totals(m, p, t, packed)
+            total, wc, step = oracles.predictor_totals(m, p, t, packed)
         assert fast.e_ave == total / (t * samples)
         assert fast.e_wc == wc / t
         assert fast.per_step_errors == tuple(c / samples for c in step)
@@ -376,7 +376,9 @@ class TestMonteCarlo:
             bits = np.random.default_rng(5).integers(0, 2, size=(40, 12), dtype=np.uint8)
             p = ConsistencyPredictor(pm, strict=False)
             p.restore(snap)
-            total, wc, step = _sweep_consistency(m, p, bits)
+            misses = bits.copy()  # the kernel overwrites it with its misses
+            _sweep_consistency(m, p, misses)
+            total, wc, step = int(misses.sum()), int(misses.sum(axis=1).max()), misses.sum(axis=0).tolist()
             errs = []
             for row in bits:  # exact Python-int reference
                 p.restore(snap)
@@ -402,6 +404,19 @@ class TestMonteCarlo:
             "ended on float64"
         ]
 
+    def test_each_path_logs_its_name(self, echo, caplog):
+        # -v names the path that ran: the count kernel, the product machine
+        # (known-state nodes are the generator's two states) or, for any
+        # other predictor, the online protocol on each sample
+        caplog.set_level("DEBUG", logger="mealypred.evaluation")
+        for p in (ConsistencyPredictor(echo), KnownStatePredictor(echo), _ContraryPredictor(echo)):
+            evaluate_monte_carlo(echo, p, 5, 7, seed=1)
+        assert [r.getMessage() for r in caplog.records if r.name == "mealypred.evaluation"] == [
+            "count kernel, 7 samples, t=5: columns normalised at depths [], ended on float64",
+            "product machine, 7 samples, t=5: 2 (node, state) pairs expanded",
+            "online protocol, 7 samples, t=5",
+        ]
+
     def test_negative_seed_refused(self, echo):
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
             evaluate_monte_carlo(echo, ConsistencyPredictor(echo), 8, 10, seed=-1)
@@ -417,8 +432,9 @@ class TestMonteCarlo:
         (EnsemblePredictor, [constant_machine(0)]),
     ])
     def test_strict_subclass_scored_leniently(self, base, model):
-        # the subclass takes the per-sequence loop; its model dies at the
-        # first bit and keeps guessing 0, as in exhaustive evaluation
+        # the subclass runs the online protocol on each sample; its model
+        # dies at the first bit and keeps guessing 0, as in exhaustive
+        # evaluation
         p = type("Sub", (base,), {})(model)
         target = constant_machine(1)
         assert evaluate_exhaustive(target, p, 6).e_ave == 1

@@ -1,6 +1,6 @@
 """The package's import graph, read from the source: modules share only public
 names, import each other at module level, and the library modules below the
-drivers import none of them."""
+drivers import none of them. The tests' oracles import nothing from it."""
 
 import ast
 from pathlib import Path
@@ -63,3 +63,14 @@ def test_library_modules_import_no_driver(imports):
     upward = [f"{name}: {module}" for name in LIBRARY for module, _ in imports[name]
               if module in DRIVERS]
     assert upward == []
+
+
+def test_oracles_import_nothing_from_the_package():
+    # the reference definitions the tests check the library against share no
+    # code with it
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += ["." * node.level + (node.module or "") for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    assert [name for name in imported if name.split(".")[0] in ("mealypred", "")] == []

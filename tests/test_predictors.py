@@ -16,6 +16,7 @@ from mealypred import (
     MealyMachine,
     evaluate_exhaustive,
     machine_id,
+    run_beside,
     trace_predictor,
 )
 from mealypred.enumeration import enumerate_machines
@@ -235,6 +236,13 @@ class TestAutomatonPredictor:
             assert p.predict() == 0
             p.observe(bit)
 
+    def test_constant_is_the_one_state_automaton(self, const1):
+        p = ConstantPredictor(1)
+        assert isinstance(p, AutomatonPredictor) and p.machine == const1
+        assert (p.bit, p.label) == (1, "always-1")
+        with pytest.raises(ValueError, match="^bit must be 0 or 1$"):
+            ConstantPredictor(2)
+
     def test_echo_predictor_repeats_last_observation(self):
         echo_pred = AutomatonPredictor(MealyMachine(1, ((0, 0),), ((0, 1),)))
         echo_pred.reset()
@@ -252,6 +260,13 @@ class TestTraces:
         assert trace.cumulative_errors == (0, 1, 1, 2)
         assert trace.total_errors == 2
         assert trace.error_rate == 0.5
+
+    def test_run_beside_yields_guess_and_emitted_bit(self, echo):
+        # the echo machine emits its input; the automaton echo predictor
+        # guesses the last observed bit, 0 first, and is reset per run
+        p = AutomatonPredictor(echo)
+        for _ in range(2):
+            assert list(run_beside(echo, p, [1, 1, 0, 1])) == [(0, 1), (1, 1), (1, 0), (0, 1)]
 
     def test_reset_restores_initial_knowledge(self, alt_ring):
         p = ConsistencyPredictor(alt_ring)
