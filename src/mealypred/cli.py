@@ -41,10 +41,9 @@ from .automaton import (
     serialize_machine,
 )
 from .enumeration import (
-    CANONICAL_K_CAP,
-    RAW_K_CAP,
     CapExceeded,
     count_machines,
+    default_k_cap,
     enumerate_machines,
 )
 from .evaluation import (
@@ -437,9 +436,9 @@ _FIELDS = (
     _Field("count_only", ("--count-only",), bool, _on("enumerate", default=False),
            "Print only the count."),
     _Field("cap_k", ("--cap-k",), int, _on("enumerate", default=None),
-           f"State-count cap (default: raw {RAW_K_CAP}, canonical {CANONICAL_K_CAP}); "
-           "raising it needs --i-know-this-is-big.",
-           cap=lambda config: RAW_K_CAP if config.get("mode") == "raw" else CANONICAL_K_CAP),
+           f"State-count cap (default: raw {default_k_cap('raw')}, "
+           f"canonical {default_k_cap('canonical')}); raising it needs --i-know-this-is-big.",
+           cap=lambda config: default_k_cap(config.get("mode"))),
     _Field("predictor_machine", ("--predictor-machine",), str,
            _on("predict", "evaluate", default=None),
            "Machine the predictor assumes (defaults to the generator).", keep=lambda config, value: bool(value)),

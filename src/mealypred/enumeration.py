@@ -8,8 +8,8 @@ member of each class. The quotient is far smaller than dividing by k!
 suggests, because only permutations fixing the initial state apply.
 
 The machines are produced as integer ``(next, out)`` tables, a fixed-size
-chunk at a time (:func:`machine_tables`); listing and counting read the
-chunks, and predictor search scores them without building machines.
+chunk at a time (:func:`machine_tables`) in every mode; listing and counting
+read the chunks, and predictor search scores them without building machines.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ RAW_K_CAP = 3
 CANONICAL_K_CAP = 4
 CHUNK_ROWS = 1 << 13  # most raw rows per table chunk: k=3 spans 6 chunks, k=4 spans 4,096
 
-_TABLE_MODES = ("raw", "canonical")
-_MODES = _TABLE_MODES + ("strongly_connected",)
+_MODES = ("raw", "canonical", "strongly_connected")
 
 
 class CapExceeded(RuntimeError):
@@ -36,6 +35,11 @@ class CapExceeded(RuntimeError):
 def raw_machine_count(k: int) -> int:
     """Number of raw k-state machines: (2k)**(2k)."""
     return (2 * k) ** (2 * k)
+
+
+def default_k_cap(mode: str) -> int:
+    """The cap on ``k`` when none is given; strong connectivity filters the canonical list."""
+    return RAW_K_CAP if mode == "raw" else CANONICAL_K_CAP
 
 
 def _relabelings(k: int) -> list[tuple[tuple[int, ...], bytes]]:
@@ -90,13 +94,21 @@ def orbit_size(machine: MealyMachine) -> int:
     return len(set(_relabeled_keys(machine)))
 
 
+def _strongly_connected(nxt: np.ndarray) -> np.ndarray:
+    """Which rows of an ``(n, k, 2)`` successor table are strongly connected:
+    state 0 reaches every state and every state reaches 0. Warshall's closure
+    of I + A by ``ceil(log2(k - 1))`` boolean squarings covers every path."""
+    k = nxt.shape[1]
+    eye = np.eye(k, dtype=bool)
+    reach = eye[nxt[..., 0]] | eye[nxt[..., 1]] | eye  # I + A: row s marks s and its successors
+    for _ in range((k - 2).bit_length()):
+        reach = reach @ reach
+    return reach[:, 0].all(axis=1) & reach[:, :, 0].all(axis=1)
+
+
 def is_strongly_connected(machine: MealyMachine) -> bool:
-    """True when every state can reach every other along transitions:
-    state 0 reaches them all, and each of them reaches state 0."""
-    k = machine.num_states
-    return len(machine.reachable_states(0)) == k and all(
-        0 in machine.reachable_states(s) for s in range(1, k)
-    )
+    """True when every state reaches every other: one row of the mode's filter."""
+    return bool(_strongly_connected(np.array(machine.transition)[None])[0])
 
 
 def _keys(slots: np.ndarray) -> np.ndarray:
@@ -117,21 +129,20 @@ def machine_tables(
     Row i of the raw list holds the base-2k digits of i, one slot code
     ``2 * next + out`` per (state, input) slot, so rows come in serialization
     order. Each chunk fixes the leading slots and runs through every choice of
-    the trailing ones, at most ``CHUNK_ROWS`` rows. ``mode`` is ``raw``, or
-    ``canonical`` for the rows that are least among their relabelings.
-    ``cap`` bounds ``k``: ``RAW_K_CAP`` or ``CANONICAL_K_CAP`` by mode unless
-    given.
+    the trailing ones, at most ``CHUNK_ROWS`` rows. ``mode`` is ``raw``;
+    ``canonical`` for the rows that are least among their relabelings; or
+    ``strongly_connected`` for the canonical rows whose transition digraph is
+    strongly connected. ``cap`` bounds ``k``, :func:`default_k_cap` unless given.
     """
-    if mode not in _TABLE_MODES:
-        raise ValueError(f"unknown table mode {mode!r}; expected one of {_TABLE_MODES}")
+    if mode not in _MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
     if k < 1:
         raise ValueError("state count must be positive")
-    if cap is None:
-        cap = RAW_K_CAP if mode == "raw" else CANONICAL_K_CAP
+    cap = default_k_cap(mode) if cap is None else cap
     if k > cap:
         raise CapExceeded(
-            f"enumeration of {k}-state machines in {mode} mode exceeds the cap of "
-            f"{cap} (roughly {raw_machine_count(k):.3g} raw machines)"
+            f"enumeration of {k}-state machines in {'raw' if mode == 'raw' else 'canonical'} mode "
+            f"exceeds the cap of {cap} (roughly {raw_machine_count(k):.3g} raw machines)"
         )
     base, width = 2 * k, 2 * k
     trailing = 1
@@ -144,6 +155,8 @@ def machine_tables(
         slots = np.hstack([np.full((len(tail), len(lead)), lead, dtype=np.uint8), tail])
         for columns, rename in relabelings:
             slots = slots[_keys(rename[slots[:, columns]]) >= _keys(slots)]
+        if mode == "strongly_connected":
+            slots = slots[_strongly_connected(slots.reshape(-1, k, 2) >> 1)]
         slots = slots.astype(np.intp)
         yield (slots >> 1).reshape(-1, k, 2), (slots & 1).reshape(-1, k, 2)
 
@@ -163,19 +176,12 @@ def enumerate_machines(
     Predictor search scores the same :func:`machine_tables` chunks and breaks
     score ties toward the least serialization by a stable sort in this order.
     """
-    if mode not in _MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
-    for nxt, out in machine_tables(k, "raw" if mode == "raw" else "canonical", cap=cap):
+    for nxt, out in machine_tables(k, mode, cap=cap):
         for trans, outs in zip(nxt.tolist(), out.tolist()):
-            machine = MealyMachine(k, trans, outs, 0)
-            if mode == "strongly_connected" and not is_strongly_connected(machine):
-                continue
-            yield machine
+            yield MealyMachine(k, trans, outs, 0)
 
 
 def count_machines(k: int, mode: str = "raw", *, cap: int | None = None) -> int:
-    """Exact count of machines yielded by :func:`enumerate_machines`; the raw
-    and canonical counts are the row counts of :func:`machine_tables`."""
-    if mode in _TABLE_MODES:
-        return sum(len(nxt) for nxt, _ in machine_tables(k, mode, cap=cap))
-    return sum(1 for _ in enumerate_machines(k, mode, cap=cap))
+    """Exact count of machines yielded by :func:`enumerate_machines`: the row
+    count of :func:`machine_tables`, in every mode."""
+    return sum(len(nxt) for nxt, _ in machine_tables(k, mode, cap=cap))

@@ -318,3 +318,19 @@ def visit_transient_term(machine, h: int) -> list[Fraction]:
         rows.append(row)
     diff = [Fraction(a, 2) - Fraction(b, 1 << (h + 1)) for a, b in zip(rows[0], rows[-1])]
     return [sum(d * z[i][j] for i, d in enumerate(diff)) for j in range(k)]
+
+
+def strongly_connected(machine) -> bool:
+    """Whether every state reaches every state, by a depth-first search from
+    each state along ``machine.transition``."""
+    k = machine.num_states
+    for start in range(k):
+        seen, stack = {start}, [start]
+        while stack:
+            for n in machine.transition[stack.pop()]:
+                if n not in seen:
+                    seen.add(n)
+                    stack.append(n)
+        if len(seen) < k:
+            return False
+    return True

@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,8 @@ from mealypred import (
 )
 from mealypred.enumeration import machine_tables
 from mealypred.machines import random_machine, ring_machine
+
+import oracles
 
 
 class TestCounts:
@@ -54,10 +57,10 @@ class TestCounts:
         with pytest.raises(CapExceeded):
             list(enumerate_machines(5, "strongly_connected"))
 
-    def test_tables_list_raw_and_canonical_only(self):
-        # the strongly connected filter belongs to enumerate_machines
-        with pytest.raises(ValueError, match="table mode"):
-            next(machine_tables(2, "strongly_connected"))
+    def test_unknown_mode_lists_the_three(self):
+        for listing in (machine_tables, enumerate_machines):
+            with pytest.raises(ValueError, match="'raw', 'canonical', 'strongly_connected'"):
+                next(listing(2, "bogus"))
 
 
 class TestOrder:
@@ -137,6 +140,24 @@ class TestStrongConnectivity:
         sc = list(enumerate_machines(2, "strongly_connected"))
         assert all(is_strongly_connected(m) for m in sc)
         assert 0 < len(sc) < 256
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_tables_keep_the_canonical_rows_the_oracle_accepts(self, k):
+        # the table filter against a depth-first search sharing no code with it
+        nxt, out = (np.concatenate(a) for a in zip(*machine_tables(k, "canonical")))
+        keep = np.array([oracles.strongly_connected(MealyMachine(k, trans, outs, 0))
+                         for trans, outs in zip(nxt.tolist(), out.tolist())])
+        sc_nxt, sc_out = (np.concatenate(a) for a in zip(*machine_tables(k, "strongly_connected")))
+        assert np.array_equal(sc_nxt, nxt[keep]) and np.array_equal(sc_out, out[keep])
+
+    def test_matches_the_oracle_on_random_machines(self):
+        # 1-8 states, initial state anywhere; about two in five are connected
+        rng = random.Random(21)
+        for _ in range(2000):
+            k = rng.randint(1, 8)
+            m = random_machine(k, rng)
+            m = MealyMachine(k, m.transition, m.output, rng.randrange(k))
+            assert is_strongly_connected(m) == oracles.strongly_connected(m)
 
 
 class TestSpotCheckK3:
