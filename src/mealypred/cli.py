@@ -410,6 +410,7 @@ class _Field(NamedTuple):
 
 
 _PREDICTORS = ("consistency", "known-state", "always-0", "always-1", "automaton", "ensemble")
+_MODES = {"raw": "raw", "canonical": "canonical", "strongly-connected": "strongly_connected"}
 
 # In config order: every command writes its fields in this order.
 _FIELDS = (
@@ -426,7 +427,7 @@ _FIELDS = (
     _Field("method", ("--method",), str, _on("evaluate", default="exhaustive"),
            choices={"exhaustive": "exhaustive", "monte-carlo": "monte_carlo"}),
     _Field("mode", ("--mode",), str, _on("enumerate", default="canonical"),
-           choices={"raw": "raw", "canonical": "canonical", "strongly-connected": "strongly_connected"}),
+           choices=_MODES),
     _Field("top_n", ("--top",), int, _on("search", default=10), "Leaderboard length."),
     _Field("cap_t", ("--cap-t",), int, _on("evaluate", "search", default=EXHAUSTIVE_T_CAP),
            "Exhaustive horizon cap; raising it needs --i-know-this-is-big.",
@@ -436,8 +437,9 @@ _FIELDS = (
     _Field("count_only", ("--count-only",), bool, _on("enumerate", default=False),
            "Print only the count."),
     _Field("cap_k", ("--cap-k",), int, _on("enumerate", default=None),
-           f"State-count cap (default: raw {default_k_cap('raw')}, "
-           f"canonical {default_k_cap('canonical')}); raising it needs --i-know-this-is-big.",
+           "State-count cap (default: "
+           + ", ".join(f"{option} {default_k_cap(mode)}" for option, mode in _MODES.items())
+           + "); raising it needs --i-know-this-is-big.",
            cap=lambda config: default_k_cap(config.get("mode"))),
     _Field("predictor_machine", ("--predictor-machine",), str,
            _on("predict", "evaluate", default=None),

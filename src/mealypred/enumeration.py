@@ -141,7 +141,7 @@ def machine_tables(
     cap = default_k_cap(mode) if cap is None else cap
     if k > cap:
         raise CapExceeded(
-            f"enumeration of {k}-state machines in {'raw' if mode == 'raw' else 'canonical'} mode "
+            f"enumeration of {k}-state machines in {mode.replace('_', '-')} mode "
             f"exceeds the cap of {cap} (roughly {raw_machine_count(k):.3g} raw machines)"
         )
     base, width = 2 * k, 2 * k

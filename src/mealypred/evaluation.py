@@ -2,19 +2,25 @@
 
 The exact evaluators average per-bit prediction error over every input
 sequence of a given length with one engine, a merged-frontier pass. It
-interns each predictor snapshot as an integer node and expands each (node,
-generator state) pair once into an integer table of its two edges. The
-per-state counts of input sequences consistent with the observed output are
-the unnormalized forward vector of the machine read as an edge-emitting HMM,
-and expected error is linear in them. So the engine walks the horizon depth
-by depth over the pairs, merges every branch that reaches an equal pair and
-sums the errors by Horner's rule: ``e_ave``, ``e_wc`` and the per-step
-errors come out exact for every predictor. A consistency or ensemble node is
-keyed by its count vector over the vector's gcd, so proportional vectors,
-which guess alike, share a node. It needs only the ``snapshot``/``restore``
-every predictor has, so there is no fallback path. A walk whose frontier
-outgrows ``FRONTIER_BUDGET`` (node, state) pairs is refused with
-:class:`CapExceeded`.
+interns each predictor snapshot as an integer node and expands each item of
+the walk once into a table of its step. The per-state counts of input
+sequences consistent with the observed output are the unnormalized forward
+vector of the machine read as an edge-emitting HMM, and expected error is
+linear in them. So the engine walks the horizon depth by depth over the
+items, merges every branch that reaches an equal item and sums the errors by
+Horner's rule: ``e_ave``, ``e_wc`` and the per-step errors come out exact for
+every predictor. A consistency or ensemble node is keyed by its count vector
+over the vector's gcd, so proportional vectors, which guess alike, share a
+node. It needs only the ``snapshot``/``restore`` every predictor has, so
+there is no fallback path.
+
+An item is a (node, generator state) pair. When a consistency or ensemble
+predictor holds the generator itself as its machine or a candidate, and the
+walk starts from its reset counts, an item is the node alone: that block of
+its counts is the generator's own forward vector, so the sequences reaching
+a node split over the generator's states in proportion to it, and the
+node's pairs are exactly lumpable (Kemeny and Snell). A walk whose frontier
+outgrows ``FRONTIER_BUDGET`` items is refused with :class:`CapExceeded`.
 
 In the batch setting the consistent (input sequence, machine) pairs of
 training data are the count vector of the training pool
@@ -35,7 +41,7 @@ Past that bound each column is divided by its gcd, which changes no guess;
 columns that still do not fit move to int64, exact below 2**62, and past
 that, after another gcd, to Python integers. The finite-state predictors
 (known-state, automaton, and constant, the one-state automaton) run beside
-the generator as one product machine on input bits, the same pair table
+the generator as one product machine on input bits, the exact walk's pairs
 expanded to a fixpoint, so each step costs two table lookups. Any other
 predictor, a subclass of a built-in one included, runs the online protocol
 (:func:`~mealypred.predictors.run_beside`) per sample. Each path overwrites
@@ -50,7 +56,7 @@ from __future__ import annotations
 
 import logging
 import math
-from array import array
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -81,7 +87,7 @@ _COUNTING = (ConsistencyPredictor, EnsemblePredictor)  # count vectors, keyed ov
 _FINITE = (KnownStatePredictor, ConstantPredictor, AutomatonPredictor)  # finitely many snapshots
 
 EXHAUSTIVE_T_CAP = 24
-FRONTIER_BUDGET = 1 << 18  # (node, state) pairs of one depth; a few hundred bytes each
+FRONTIER_BUDGET = 1 << 18  # items (nodes or (node, state) pairs) of one depth; a few hundred bytes each
 _ECHO = echo_machine()  # emits its input bits, so training bits run beside it unchanged
 
 
@@ -208,34 +214,36 @@ def _sweep_consistency(machine: MealyMachine, predictor: ConsistencyPredictor, b
 def _product_machine(machine: MealyMachine, predictor: Predictor) -> tuple[np.ndarray, int]:
     """The predictor run beside the generator, as one machine on input bits.
 
-    Its nodes are the (snapshot node, generator state) pairs reachable from
+    Its rows are the (snapshot node, generator state) pairs reachable from
     the predictor's current snapshot and the initial state, each expanded
-    once. Returns their edges, flat at ``2 * pair + input bit``: ``2 * next
-    pair + miss``, where ``miss`` is 1 if the guess differs from the
-    generator's output, and the number of pairs. The walk ends only for
-    predictors with finitely many snapshots.
+    once and numbered in the order found, so the start is row 0. Returns
+    their edges, flat at ``2 * row + input bit``: ``2 * next row + miss``,
+    where ``miss`` is 1 if the guess differs from the generator's output, and
+    the number of rows. The walk ends only for predictors with finitely many
+    snapshots.
     """
     nodes = _Nodes(machine, predictor)
-    pairs, seen = [machine.initial_state], {machine.initial_state}
+    pairs, rows, edges = [machine.initial_state], {machine.initial_state: 0}, []
     for at in pairs:  # grows as new pairs are found
-        nodes.expand(at)
-        for e in nodes.edges[2 * at:2 * at + 2]:
-            if e >> 1 not in seen:
-                seen.add(e >> 1)
-                pairs.append(e >> 1)
+        _, to0, _, miss0, to1, _, miss1 = nodes.expand(at)
+        for to, miss in ((to0, miss0), (to1, miss1)):
+            if to not in rows:
+                rows[to] = len(pairs)
+                pairs.append(to)
+            edges.append(2 * rows[to] + miss)
     predictor.restore(nodes.root)
-    return np.frombuffer(nodes.edges, dtype=np.int64), len(pairs)
+    return np.array(edges, dtype=np.int64), len(pairs)
 
 
 def _sweep_product(machine: MealyMachine, predictor: Predictor, bits: np.ndarray) -> None:
     """Run the product machine of a finite-state predictor over every sample."""
-    # Both tables read flat at 2 * pair + input bit: one index per step and
-    # 1-D gathers; 2-D [pair, bit] gathers took 2.5 times as long at t=200
+    # Both tables read flat at 2 * row + input bit: one index per step and
+    # 1-D gathers; 2-D [row, bit] gathers took 2.5 times as long at t=200
     # with 10,000 samples.
     edges, pairs = _product_machine(machine, predictor)
     succ, miss = edges & -2, edges & 1
     n, t = bits.shape
-    at = np.full(n, 2 * machine.initial_state, dtype=np.int64)  # 2 * pair
+    at = np.zeros(n, dtype=np.int64)  # 2 * row
     for i in range(t):
         at += bits[:, i]
         bits[:, i] = miss[at]
@@ -247,105 +255,148 @@ def _sweep_product(machine: MealyMachine, predictor: Predictor, bits: np.ndarray
 # exact engine
 
 class _Nodes:
-    """A predictor's snapshots interned as integer nodes; each (node, state)
-    pair ``node * k + state`` is expanded once.
+    """A predictor's snapshots interned as integer nodes, and the walk's items
+    expanded once each.
 
-    Node 0 is the predictor's current snapshot. Expanding a pair restores its
-    node's snapshot to find the guess and the child per observed bit, and
-    stores the pair's edges. A consistency or ensemble node is keyed, and
-    restored, as its count vector over the vector's gcd (an all-zero vector
-    as it is): a guess compares two sums over one vector and observing is
-    linear, so proportional vectors guess alike forever after.
+    An item is a (node, generator state) pair ``node * k + state``, or, where
+    the generator is a ``block`` of a counting predictor's states, the node
+    alone. Node 0 is the predictor's current snapshot. Expanding an item
+    finds its guess and, by restoring and observing its node's snapshot, the
+    child per observed bit, and stores the item's step. A consistency or
+    ensemble node is keyed, and restored, as its count vector over the
+    vector's gcd (an all-zero vector as it is): a guess compares two sums over
+    one vector and observing is linear, so proportional vectors guess alike
+    forever after.
+
+    A node item counts input sequences per unit of its block's counts, which
+    split the sequences reaching the node over the generator's states. Its
+    guess is read off its key; its misses per unit are the block's counts
+    times the inputs emitting the bit it does not guess, and its edge on an
+    emitted bit weighs the gcd divided out of the child.
     """
 
-    def __init__(self, machine: MealyMachine, predictor: Predictor):
-        self.trans, self.out, self.k = machine.transition, machine.output, machine.num_states
+    def __init__(self, machine: MealyMachine, predictor: Predictor, block: tuple[int, int] | None = None):
+        self.trans, self.out, self.k, self.block = machine.transition, machine.output, machine.num_states, block
         self.predictor, self.root = predictor, predictor.snapshot()
         self.scaled = type(predictor) in _COUNTING
         self.blind = type(predictor).inform_state is Predictor.inform_state
+        if block:
+            # per state of the predictor's machine: the inputs emitting 1 less
+            # those emitting 0, and per bit the inputs of the block emitting it
+            rows = predictor.machine.output
+            self.lean = tuple(2 * sum(row) - 2 for row in rows)
+            self.emits = tuple(tuple(row.count(o) if block[0] <= i < block[1] else 0
+                                     for i, row in enumerate(rows)) for o in (0, 1))
         # snapshot -> node; per node its snapshot; at 2 * node + observed bit
-        # its child; per blind node its guess; at 2 * pair + input bit, 2 *
-        # next pair + miss, or -1 (or no slot yet) until the pair is expanded
-        self.index, self.keys, self.children, self.guesses = {}, [], [], {}
-        self.edges, self.blank = array("q"), array("q", [-1]) * (2 * self.k)
-        self.expanded = 0
+        # its child and the gcd divided out of it; per blind node its guess;
+        # per expanded item its step: its misses per unit count, then per
+        # edge the next item, its weight and the miss. A pair's edges are its
+        # input bits in order; a node's are the bits its block emits, the
+        # one edge repeated at weight 0 if it emits one bit only.
+        self.index, self.keys, self.children, self.guesses, self.steps = {}, [], [], {}, {}
         self.intern(self.root)
 
-    def intern(self, snap) -> int:
-        if self.scaled and (g := math.gcd(*snap)) > 1:
+    def intern(self, snap) -> tuple[int, int]:
+        """The node of ``snap`` and the gcd divided out of it."""
+        g = math.gcd(*snap) if self.scaled else 1
+        if g > 1:
             snap = tuple(c // g for c in snap)
         node = self.index.setdefault(snap, len(self.keys))
         if node == len(self.keys):
             self.keys.append(snap)
             self.children += (None, None)
-        return node
+        return node, g or 1
 
-    def expand(self, pair: int) -> int:
-        """Store the edges of ``pair`` for input bits 0 and 1; return the first."""
-        node, s = divmod(pair, self.k)
-        if len(self.edges) <= 2 * pair:  # so nodes first reached at the last depth get no slots
-            self.edges += self.blank * (node + 1 - len(self.edges) // len(self.blank))
-        p, guess = self.predictor, self.guesses.get(node)
-        if guess is None:
-            p.restore(self.keys[node])
-            p.inform_state(s)
-            guess = p.predict()
-            if self.blind:
-                self.guesses[node] = guess
-        for b, o in enumerate(self.out[s]):
-            at = 2 * node + o
-            if self.children[at] is None:
+    def child(self, node: int, o: int) -> tuple[int, int]:
+        at = 2 * node + o
+        if self.children[at] is None:
+            self.predictor.restore(self.keys[node])
+            self.predictor.observe(o)
+            self.children[at] = self.intern(self.predictor.snapshot())
+        return self.children[at]
+
+    def expand(self, item: int) -> tuple:
+        """Store and return the step of ``item``."""
+        if self.block:
+            # the consistency guess read off the key, ties to 0, as in the count kernel
+            key = self.keys[item]
+            guess = int(sum(map(operator.mul, key, self.lean)) > 0)
+            reach = [sum(map(operator.mul, key, e)) for e in self.emits]
+            ends = [(*self.child(item, o), guess != o) for o in (0, 1) if reach[o]]
+            if len(ends) == 1:
+                ends.append((ends[0][0], 0, ends[0][2]))
+            misses = reach[1 - guess]
+        else:
+            node, s = divmod(item, self.k)
+            p, guess = self.predictor, self.guesses.get(node)
+            if guess is None:
                 p.restore(self.keys[node])
-                p.observe(o)
-                self.children[at] = self.intern(p.snapshot())
-            self.edges[2 * pair + b] = 2 * (self.children[at] * self.k + self.trans[s][b]) + (guess != o)
-        self.expanded += 1
-        return self.edges[2 * pair]
+                p.inform_state(s)
+                guess = p.predict()
+                if self.blind:
+                    self.guesses[node] = guess
+            ends = [(self.child(node, o)[0] * self.k + self.trans[s][b], 1, guess != o)
+                    for b, o in enumerate(self.out[s])]
+            misses = ends[0][2] + ends[1][2]
+        step = self.steps[item] = (misses, *ends[0], *ends[1])
+        return step
+
+
+def _modelled_block(machine: MealyMachine, predictor: Predictor, start: dict[int, int]) -> tuple[int, int] | None:
+    """For a walk from the initial state alone, the block of a counting
+    predictor's states, as (first, end), that is the generator and holds its
+    reset counts; else None."""
+    if type(predictor) not in _COUNTING or start != {machine.initial_state: 1}:
+        return None
+    snap, k = predictor.snapshot(), machine.num_states
+    members = getattr(predictor, "_members", (predictor.machine,))
+    blocks = getattr(predictor, "_blocks", ((0, k),))
+    return next(((a, b) for m, (a, b) in zip(members, blocks)
+                 if m == machine and snap[a + m.initial_state] == sum(snap[a:b]) == 1), None)
 
 
 def _frontier_totals(machine: MealyMachine, predictor: Predictor, t: int, start: dict[int, int], per_step: bool = False) -> tuple[int, int, list[int] | None]:
     """Exact error totals by one depth-by-depth pass with merged predictor states.
 
-    Two dicts map each (snapshot node, generator state) pair of the frontier,
-    at ``node * k + state``, to its number of input sequences and its most
-    errors so far. It starts at the predictor's current snapshot with
-    ``start`` giving the sequence counts per state. They are the engine's own
+    Two dicts map each item of the frontier (see :class:`_Nodes`) to its
+    number of input sequences and its most errors so far. It starts at the
+    predictor's current snapshot with ``start`` giving the sequence counts per
+    state; the items are nodes alone where :func:`_modelled_block` finds the
+    generator among the predictor's machines. The counts are the engine's own
     (a node's key rescales only the predictor's), so they stay exact. An
     error at depth ``d`` stands for ``2**(t - d - 1)`` completions, so the
     total is summed by Horner's rule; per-depth totals are kept only for
-    ``per_step``. A frontier larger than ``FRONTIER_BUDGET`` pairs is refused.
+    ``per_step``. A frontier of more than ``FRONTIER_BUDGET`` items is
+    refused.
     """
-    nodes = _Nodes(machine, predictor)
-    edges = nodes.edges
-    count = {s: n for s, n in start.items() if n}
+    block = _modelled_block(machine, predictor, start)
+    nodes = _Nodes(machine, predictor, block)
+    steps = nodes.steps
+    items, short = ("nodes", "nodes") if block else ("(node, state) pairs", "pairs")
+    count = {0: 1} if block else {s: n for s, n in start.items() if n}
     most = dict.fromkeys(count, 0)
     total, step, peak = 0, [] if per_step else None, len(count)
     for depth in range(t):
         nc, nm, wrong = {}, {}, 0
         for at, n in count.items():
-            try:
-                e0 = edges[2 * at]
-            except IndexError:  # no pair of its node expanded yet
-                e0 = -1
-            if e0 < 0:
-                e0 = nodes.expand(at)
-            e1, errs = edges[2 * at + 1], most[at]
-            wrong += n * ((e0 & 1) + (e1 & 1))
+            misses, to0, w0, m0, to1, w1, m1 = steps.get(at) or nodes.expand(at)
+            errs = most[at]
+            wrong += n * misses
             # both edges unrolled: this loop is most of the walk's own time
-            to, e = e0 >> 1, errs + (e0 & 1)
-            if to in nc:
-                nc[to] += n
-                if nm[to] < e:
-                    nm[to] = e
+            c, e = n * w0, errs + m0
+            if to0 in nc:
+                nc[to0] += c
+                if nm[to0] < e:
+                    nm[to0] = e
             else:
-                nc[to], nm[to] = n, e
-            to, e = e1 >> 1, errs + (e1 & 1)
-            if to in nc:
-                nc[to] += n
-                if nm[to] < e:
-                    nm[to] = e
+                nc[to0], nm[to0] = c, e
+            c, e = n * w1, errs + m1
+            if to1 in nc:
+                nc[to1] += c
+                if nm[to1] < e:
+                    nm[to1] = e
             else:
-                nc[to], nm[to] = n, e
+                nc[to1], nm[to1] = c, e
         total = 2 * total + wrong
         if per_step:
             step.append(wrong << (t - depth - 1))
@@ -353,12 +404,12 @@ def _frontier_totals(machine: MealyMachine, predictor: Predictor, t: int, start:
         peak = max(peak, len(count))
         if peak > FRONTIER_BUDGET:
             raise CapExceeded(
-                f"exact walk frontier reached {peak} (node, state) pairs at depth "
+                f"exact walk frontier reached {peak} {items} at depth "
                 f"{depth + 1}, over the budget of {FRONTIER_BUDGET}"
             )
     predictor.restore(nodes.root)
-    log.debug("exact walk, t=%d: %d nodes interned, %d pairs expanded, peak frontier %d (node, state) pairs",
-              t, len(nodes.keys), nodes.expanded, peak)
+    log.debug("exact walk, t=%d: %d nodes interned, %d %s expanded, peak frontier %d %s",
+              t, len(nodes.keys), len(steps), short, peak, items)
     return total, max(most.values(), default=0), step
 
 
@@ -388,7 +439,7 @@ def evaluate_exhaustive(
     The predictor starts every sequence from its reset state. Horizons above
     ``cap`` are refused; raise the cap deliberately or use
     :func:`evaluate_monte_carlo`. So is a walk whose frontier outgrows
-    ``FRONTIER_BUDGET`` (node, state) pairs at some depth.
+    ``FRONTIER_BUDGET`` items at some depth.
     """
     if t < 1:
         raise ValueError("horizon must be at least 1")

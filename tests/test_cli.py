@@ -13,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import mealypred.automaton
-from mealypred import MealyMachine, serialize_machine
+from mealypred import MealyMachine, relabel, serialize_machine
 from mealypred.cli import main
 from mealypred.machines import (
     alternating_ring,
@@ -321,6 +321,20 @@ class TestEnumerateCmd:
         result = runner.invoke(main, ["enumerate", "-k", "6", "--count-only"])
         assert result.exit_code == 3
 
+    def test_cap_refusal_names_the_mode(self, runner):
+        result = runner.invoke(main, ["enumerate", "-k", "5", "--mode", "strongly-connected"])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            "refused: enumeration of 5-state machines in strongly-connected mode exceeds "
+            "the cap of 4 (roughly 1e+10 raw machines)"
+        ]
+
+    def test_cap_k_help_lists_every_default(self, runner):
+        result = runner.invoke(main, ["enumerate", "--help"])
+        assert result.exit_code == 0
+        assert "(default: raw 3, canonical 4, strongly-connected 4)" in " ".join(result.stdout.split())
+
     @pytest.mark.parametrize("fmt", ["human", "json"])
     @pytest.mark.parametrize("mode", ["raw", "canonical", "strongly-connected"])
     def test_cap_k_sets_the_cap_of_every_mode(self, runner, mode, fmt):
@@ -524,19 +538,38 @@ class TestReproducibility:
         ]
         assert not logging.getLogger("mealypred").handlers
 
-    def test_verbose_logs_walk_counters_and_keeps_report(self, runner, files, tmp_path):
-        args = ["evaluate", "-m", files["demo8"], "-t", "12", "--format", "json", "--out"]
+    @staticmethod
+    def _exact_walk_line(runner, tmp_path, args):
+        """Run ``args`` with and without -v; both reports must be equal and
+        give the machine's e_ave. Returns what -v logs."""
         quiet, loud = tmp_path / "quiet.json", tmp_path / "loud.json"
-        plain = runner.invoke(main, args + [str(quiet)])
-        verbose = runner.invoke(main, ["-v"] + args + [str(loud)])
+        plain = runner.invoke(main, args + ["--format", "json", "--out", str(quiet)])
+        verbose = runner.invoke(main, ["-v"] + args + ["--format", "json", "--out", str(loud)])
         assert plain.exit_code == verbose.exit_code == 0
         assert quiet.read_bytes() == loud.read_bytes()
+        assert json.loads(quiet.read_text())["result"]["e_ave"] == "719/16384"
         assert plain.stderr == ""
-        assert verbose.stderr.splitlines() == [
+        assert not logging.getLogger("mealypred").handlers
+        return verbose.stderr.splitlines()
+
+    def test_verbose_logs_walk_counters_and_keeps_report(self, runner, files, tmp_path):
+        # consistency over a relabeled copy is not over the generator
+        # itself, so it walks (node, state) pairs
+        path = tmp_path / "relabeled.mealy"
+        path.write_text(serialize_machine(relabel(eight_state_example(), (0, 7, 6, 5, 4, 3, 2, 1))))
+        args = ["evaluate", "-m", files["demo8"], "--predictor-machine", str(path), "-t", "12"]
+        assert self._exact_walk_line(runner, tmp_path, args) == [
             "mealypred.evaluation: exact walk, t=12: 22 nodes interned, "
             "78 pairs expanded, peak frontier 46 (node, state) pairs"
         ]
-        assert not logging.getLogger("mealypred").handlers
+
+    def test_verbose_logs_node_walk(self, runner, files, tmp_path):
+        # over the generator itself, consistency walks nodes alone
+        args = ["evaluate", "-m", files["demo8"], "-t", "12"]
+        assert self._exact_walk_line(runner, tmp_path, args) == [
+            "mealypred.evaluation: exact walk, t=12: 22 nodes interned, "
+            "20 nodes expanded, peak frontier 10 nodes"
+        ]
 
     def test_verbose_logs_stationary_law_and_keeps_report(self, runner, tmp_path):
         # s0 and state 1 are transient; {2} and {3, 4, 5} are closed

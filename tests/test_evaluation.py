@@ -23,6 +23,7 @@ from mealypred import (
     default_batch_predictors,
     evaluate_exhaustive,
     evaluate_monte_carlo,
+    relabel,
     training_pool,
 )
 from mealypred.evaluation import PredictorScore, _Nodes, _lenient, _sweep_consistency
@@ -194,13 +195,27 @@ class TestExhaustive:
             evaluate_exhaustive(generator, KnownStatePredictor(small), 6)
 
     def test_frontier_budget_refused(self, monkeypatch):
-        # the walk's frontier peaks at 46 (node, state) pairs, at depth 12
+        # consistency over a relabeled copy is not over the generator itself,
+        # so it walks (node, state) pairs; its frontier peaks at 46 of them,
+        # at depth 12
         m = eight_state_example()
+        relabeled = relabel(m, (0, 7, 6, 5, 4, 3, 2, 1))
         monkeypatch.setattr("mealypred.evaluation.FRONTIER_BUDGET", 46)
-        assert evaluate_exhaustive(m, ConsistencyPredictor(m), 12).e_ave == Fraction(719, 16384)
+        assert evaluate_exhaustive(m, ConsistencyPredictor(relabeled), 12).e_ave == Fraction(719, 16384)
         monkeypatch.setattr("mealypred.evaluation.FRONTIER_BUDGET", 45)
         with pytest.raises(CapExceeded, match=r"^exact walk frontier reached 46 \(node, state\) "
                                               r"pairs at depth 12, over the budget of 45$"):
+            evaluate_exhaustive(m, ConsistencyPredictor(relabeled), 12)
+
+    def test_node_frontier_budget_refused(self, monkeypatch):
+        # the machine's own consistency walk goes by nodes alone; its
+        # frontier peaks at 10 of them, at depth 12
+        m = eight_state_example()
+        monkeypatch.setattr("mealypred.evaluation.FRONTIER_BUDGET", 10)
+        assert evaluate_exhaustive(m, ConsistencyPredictor(m), 12).e_ave == Fraction(719, 16384)
+        monkeypatch.setattr("mealypred.evaluation.FRONTIER_BUDGET", 9)
+        with pytest.raises(CapExceeded, match=r"^exact walk frontier reached 10 nodes at depth 12, "
+                                              r"over the budget of 9$"):
             evaluate_exhaustive(m, ConsistencyPredictor(m), 12)
 
 
@@ -276,6 +291,71 @@ class TestMergedWalk:
             for p in (KnownStatePredictor(m), AutomatonPredictor(random_machine(3, rng)),
                       ConstantPredictor(1)):
                 TestMonteCarlo._assert_matches_loop(m, p, 40, samples=200)
+
+
+def _walked(caplog) -> str:
+    """The item kind the last exact walk logged."""
+    walk = [r.getMessage() for r in caplog.records if r.getMessage().startswith("exact walk")][-1]
+    return re.search(r"peak frontier \d+ (.*)$", walk).group(1)
+
+
+def _reversed(m):
+    """``m`` with states 1..k-1 renamed in reverse: equal behaviour, unequal tables."""
+    return relabel(m, (0,) + tuple(range(m.num_states - 1, 0, -1)))
+
+
+class TestNodeWalk:
+    """A counting predictor that holds the generator as a member walks nodes
+    alone; every other walk goes by (node, state) pairs."""
+
+    @staticmethod
+    def _ensembles(m, rng):
+        a, b = random_machine(rng.randint(2, 4), rng), random_machine(3, rng)
+        return [[m, a], [a, m], [a, b, m], [m, m], [a, m, b, m]]
+
+    def test_matches_double_sum(self, caplog):
+        caplog.set_level("DEBUG", logger="mealypred.evaluation")
+        rng = random.Random(14)
+        for m in [eight_state_example()] + [random_machine(k, rng) for k in (1, 2, 3, 5, 7, 8)]:
+            t = rng.randint(6, 10)
+            for members in [[m]] + self._ensembles(m, rng):
+                p = ConsistencyPredictor(m) if len(members) == 1 else EnsemblePredictor(members)
+                r = evaluate_exhaustive(m, p, t)
+                assert _walked(caplog) == "nodes"
+                assert r.e_ave == oracles.predictor_error_double_sum(m, _union_rule(members, t), t)
+
+    def test_matches_pair_walk_of_relabeled_copy(self, caplog):
+        caplog.set_level("DEBUG", logger="mealypred.evaluation")
+        rng = random.Random(15)
+        for _ in range(12):
+            m = random_machine(rng.randint(3, 8), rng)
+            t = rng.randint(10, 16)
+            for members in [[m]] + self._ensembles(m, rng)[:3]:
+                copy = [_reversed(x) if x is m else x for x in members]
+                reports = []
+                for ms in (members, copy):
+                    p = ConsistencyPredictor(ms[0]) if len(ms) == 1 else EnsemblePredictor(ms)
+                    reports.append(evaluate_exhaustive(m, p, t, per_step=True))
+                    reports.append(_walked(caplog))
+                nodes, node_kind, pairs, pair_kind = reports
+                assert (node_kind, pair_kind) == ("nodes", "(node, state) pairs")
+                assert (nodes.e_ave, nodes.e_wc, nodes.per_step_errors) == (
+                    pairs.e_ave, pairs.e_wc, pairs.per_step_errors)
+
+    def test_other_walks_go_by_pairs(self, caplog):
+        caplog.set_level("DEBUG", logger="mealypred.evaluation")
+        rng = random.Random(16)
+        m, a, b = random_machine(5, rng), random_machine(3, rng), random_machine(4, rng)
+        moved = MealyMachine(m.num_states, m.transition, m.output, initial_state=2)
+        for p in (EnsemblePredictor([a, b]), EnsemblePredictor([a, moved]),
+                  ConsistencyPredictor(moved), ConsistencyPredictor(a), KnownStatePredictor(m),
+                  AutomatonPredictor(a), _ContraryPredictor(m)):
+            evaluate_exhaustive(m, p, 8)
+            assert _walked(caplog) == "(node, state) pairs"
+        problem = BatchProblem((m, a), Bits.from_string("01"), 8, (ConsistencyPredictor(m),))
+        caplog.clear()
+        batch_select(problem)
+        assert _walked(caplog) == "(node, state) pairs"
 
 
 class TestMonteCarlo:
