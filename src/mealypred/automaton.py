@@ -126,8 +126,8 @@ class MealyMachine:
         k = self.num_states
         if k <= 0:
             raise ValueError("a machine needs at least one state")
-        trans = tuple(tuple(int(x) for x in row) for row in self.transition)
-        out = tuple(tuple(int(x) for x in row) for row in self.output)
+        trans = tuple(tuple(map(int, row)) for row in self.transition)
+        out = tuple(tuple(map(int, row)) for row in self.output)
         object.__setattr__(self, "transition", trans)
         object.__setattr__(self, "output", out)
         if len(trans) != k or len(out) != k:
@@ -228,19 +228,18 @@ def parse_machine(text: str) -> MealyMachine:
     """
     num_states: int | None = None
     initial: int | None = None
-    entries: dict[tuple[int, int], tuple[int, int, int]] = {}
+    entries: dict[int, tuple[int, int, int]] = {}  # at 2 * state + input: (next, output, line)
 
     def fail(msg: str, line_no: int):
         raise MachineFormatError(msg, line_no)
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = line.split()
         if num_states is None:
             if len(tokens) != 2 or tokens[0] != "mealy":
-                fail(f"expected 'mealy <k>', got {line!r}", line_no)
+                fail(f"expected 'mealy <k>', got {raw.strip()!r}", line_no)
             try:
                 num_states = int(tokens[1])
             except ValueError:
@@ -250,7 +249,7 @@ def parse_machine(text: str) -> MealyMachine:
             continue
         if initial is None:
             if len(tokens) != 2 or tokens[0] != "initial":
-                fail(f"expected 'initial <i>', got {line!r}", line_no)
+                fail(f"expected 'initial <i>', got {raw.strip()!r}", line_no)
             try:
                 initial = int(tokens[1])
             except ValueError:
@@ -259,11 +258,11 @@ def parse_machine(text: str) -> MealyMachine:
                 fail(f"initial state {initial} out of range for {num_states} states", line_no)
             continue
         if len(tokens) != 5 or tokens[2] != "->":
-            fail(f"expected '<state> <input> -> <next> <output>', got {line!r}", line_no)
+            fail(f"expected '<state> <input> -> <next> <output>', got {raw.strip()!r}", line_no)
         try:
             s, b, n, o = int(tokens[0]), int(tokens[1]), int(tokens[3]), int(tokens[4])
         except ValueError:
-            fail(f"non-integer field in entry {line!r}", line_no)
+            fail(f"non-integer field in entry {raw.strip()!r}", line_no)
         if not 0 <= s < num_states:
             fail(f"state {s} out of range for {num_states} states", line_no)
         if b not in (0, 1):
@@ -272,19 +271,18 @@ def parse_machine(text: str) -> MealyMachine:
             fail(f"target state {n} out of range for {num_states} states", line_no)
         if o not in (0, 1):
             fail(f"output bit must be 0 or 1, got {o}", line_no)
-        if (s, b) in entries:
-            fail(f"duplicate entry for state {s} input {b} (first at line {entries[(s, b)][2]})", line_no)
-        entries[(s, b)] = (n, o, line_no)
+        if 2 * s + b in entries:
+            fail(f"duplicate entry for state {s} input {b} (first at line {entries[2 * s + b][2]})", line_no)
+        entries[2 * s + b] = (n, o, line_no)
 
     if num_states is None:
         raise MachineFormatError("empty document: missing 'mealy <k>' header")
     if initial is None:
         raise MachineFormatError("missing 'initial <i>' line")
-    for s in range(num_states):
-        for b in (0, 1):
-            if (s, b) not in entries:
-                raise MachineFormatError(f"missing entry for state {s} input {b}")
+    for at in range(2 * num_states):
+        if at not in entries:
+            raise MachineFormatError(f"missing entry for state {at // 2} input {at % 2}")
 
-    transition = tuple(tuple(entries[(s, b)][0] for b in (0, 1)) for s in range(num_states))
-    output = tuple(tuple(entries[(s, b)][1] for b in (0, 1)) for s in range(num_states))
+    transition = tuple((entries[2 * s][0], entries[2 * s + 1][0]) for s in range(num_states))
+    output = tuple((entries[2 * s][1], entries[2 * s + 1][1]) for s in range(num_states))
     return MealyMachine(num_states, transition, output, initial)

@@ -27,8 +27,10 @@ import datetime
 import functools
 import json
 import logging
+import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _ascii
 from typing import Callable, NamedTuple
 
 from . import __version__
@@ -345,13 +347,54 @@ def _render_human(report: dict, timestamps: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _sink(out: str | None):
-    """The file ``--out`` names, else stdout, to write in a ``with`` block."""
-    return open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout)
+_INFINITIES = {math.inf: "Infinity", -math.inf: "-Infinity"}
+# per scalar type a report holds, its text as json.dumps writes it; bool before int for isinstance
+_ATOMS = {
+    str: _ascii, bool: ("false", "true").__getitem__, int: int.__repr__, type(None): lambda _: "null",
+    float: lambda x: "NaN" if x != x else _INFINITIES.get(x) or float.__repr__(x),
+}
+
+
+def _write_json(value, parts: list[str], nl: str = "\n") -> None:
+    """Append to ``parts`` the text of ``json.dumps(value, indent=2)``, ``nl``
+    starting each line ``value`` opens; dicts need str keys."""
+    inner = nl + "  "
+    comma = "," + inner
+    if isinstance(value, dict):
+        heads, items, ends = [_ascii(k) + ": " for k in value], value.values(), "{}"
+    elif isinstance(value, (list, tuple)):
+        kinds = set(map(type, value))
+        atom = _ATOMS.get(kinds.pop()) if len(kinds) == 1 else None
+        if atom:  # scalars of one type: one join
+            parts += ("[" + inner, comma.join(map(atom, value)), nl + "]")
+            return
+        heads, items, ends = ("",) * len(value), value, "[]"
+    else:  # a scalar; numpy's float64 is a float, as json.dumps checks
+        atom = next((a for t, a in _ATOMS.items() if isinstance(value, t)), None)
+        if atom is None:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        parts.append(atom(value))
+        return
+    sep = ends[0] + inner
+    for head, x in zip(heads, items):  # scalar items inline
+        atom = _ATOMS.get(type(x))
+        parts.append(sep + head + atom(x) if atom else sep + head)
+        if not atom:
+            _write_json(x, parts, inner)
+        sep = comma
+    parts.append(nl + ends[1] if sep == comma else ends)
+
+
+def _sink(out: str | None, binary: bool = False):
+    """The file ``--out`` names, else stdout, to write (bytes if ``binary``) in a ``with`` block."""
+    if out:
+        return open(out, "wb") if binary else open(out, "w", encoding="utf-8")
+    sys.stdout.flush()  # text written before the bytes goes first
+    return contextlib.nullcontext(sys.stdout.buffer if binary else sys.stdout)
 
 
 def _run_command(config: dict, fmt: str, out: str | None, timestamps: bool):
-    """Execute a config and emit its report."""
+    """Execute a config and emit its report, JSON as ASCII bytes."""
     _, execute = _COMMANDS[config["command"]]
     report = {
         "tool": "mealypred",
@@ -361,11 +404,13 @@ def _run_command(config: dict, fmt: str, out: str | None, timestamps: bool):
         **execute(config),  # its machines, then its result
     }
     if fmt == "json":
-        text = json.dumps(report, indent=2) + "\n"
+        parts = []
+        _write_json(report, parts)
+        data = "".join(parts + ["\n"]).encode("ascii")
     else:
-        text = _render_human(report, timestamps)
-    with _sink(out) as fh:
-        fh.write(text)
+        data = _render_human(report, timestamps)
+    with _sink(out, binary=fmt == "json") as fh:
+        fh.write(data)
 
 
 def _stream_enumeration(config: dict, out: str | None):

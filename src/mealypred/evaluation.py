@@ -11,8 +11,9 @@ items, merges every branch that reaches an equal item and sums the errors by
 Horner's rule: ``e_ave``, ``e_wc`` and the per-step errors come out exact for
 every predictor. A consistency or ensemble node is keyed by its count vector
 over the vector's gcd, so proportional vectors, which guess alike, share a
-node. It needs only the ``snapshot``/``restore`` every predictor has, so
-there is no fallback path.
+node, whose guess and children are read off the predictor's count table.
+Any other predictor is driven through ``snapshot``/``restore``, which every
+predictor has, so there is no fallback path.
 
 An item is a (node, generator state) pair. When a consistency or ensemble
 predictor holds the generator itself as its machine or a candidate, and the
@@ -261,32 +262,30 @@ class _Nodes:
     An item is a (node, generator state) pair ``node * k + state``, or, where
     the generator is a ``block`` of a counting predictor's states, the node
     alone. Node 0 is the predictor's current snapshot. Expanding an item
-    finds its guess and, by restoring and observing its node's snapshot, the
-    child per observed bit, and stores the item's step. A consistency or
-    ensemble node is keyed, and restored, as its count vector over the
-    vector's gcd (an all-zero vector as it is): a guess compares two sums over
-    one vector and observing is linear, so proportional vectors guess alike
-    forever after.
+    finds its guess and its node's child per observed bit, by restoring the
+    predictor and driving it, and stores the item's step. A consistency or
+    ensemble node is keyed as its count vector over the vector's gcd (an
+    all-zero vector as it is): a guess compares two sums over one vector and
+    observing is linear, so proportional vectors guess alike forever after.
+    Of exact type, such a predictor is not driven: its ``guess`` and
+    ``next_counts`` of the key give them, so it logs no lenient lines.
 
     A node item counts input sequences per unit of its block's counts, which
     split the sequences reaching the node over the generator's states. Its
-    guess is read off its key; its misses per unit are the block's counts
-    times the inputs emitting the bit it does not guess, and its edge on an
-    emitted bit weighs the gcd divided out of the child.
+    misses per unit are the block's counts times the inputs emitting the bit
+    it does not guess, and its edge on an emitted bit weighs the gcd divided
+    out of the child.
     """
 
     def __init__(self, machine: MealyMachine, predictor: Predictor, block: tuple[int, int] | None = None):
         self.trans, self.out, self.k, self.block = machine.transition, machine.output, machine.num_states, block
         self.predictor, self.root = predictor, predictor.snapshot()
-        self.scaled = type(predictor) in _COUNTING
+        self.counting = type(predictor) in _COUNTING
         self.blind = type(predictor).inform_state is Predictor.inform_state
         if block:
-            # per state of the predictor's machine: the inputs emitting 1 less
-            # those emitting 0, and per bit the inputs of the block emitting it
-            rows = predictor.machine.output
-            self.lean = tuple(2 * sum(row) - 2 for row in rows)
-            self.emits = tuple(tuple(row.count(o) if block[0] <= i < block[1] else 0
-                                     for i, row in enumerate(rows)) for o in (0, 1))
+            # per bit, per state of the predictor's machine: the inputs of the block emitting it
+            self.emits = tuple(tuple(d if block[0] <= i < block[1] else 0 for i, d in enumerate(deg))
+                               for deg in predictor._deg)
         # snapshot -> node; per node its snapshot; at 2 * node + observed bit
         # its child and the gcd divided out of it; per blind node its guess;
         # per expanded item its step: its misses per unit count, then per
@@ -298,7 +297,7 @@ class _Nodes:
 
     def intern(self, snap) -> tuple[int, int]:
         """The node of ``snap`` and the gcd divided out of it."""
-        g = math.gcd(*snap) if self.scaled else 1
+        g = math.gcd(*snap) if self.counting else 1
         if g > 1:
             snap = tuple(c // g for c in snap)
         node = self.index.setdefault(snap, len(self.keys))
@@ -310,17 +309,21 @@ class _Nodes:
     def child(self, node: int, o: int) -> tuple[int, int]:
         at = 2 * node + o
         if self.children[at] is None:
-            self.predictor.restore(self.keys[node])
-            self.predictor.observe(o)
-            self.children[at] = self.intern(self.predictor.snapshot())
+            p = self.predictor
+            if self.counting:
+                snap = p.next_counts(self.keys[node], o)
+            else:
+                p.restore(self.keys[node])
+                p.observe(o)
+                snap = p.snapshot()
+            self.children[at] = self.intern(snap)
         return self.children[at]
 
     def expand(self, item: int) -> tuple:
         """Store and return the step of ``item``."""
         if self.block:
-            # the consistency guess read off the key, ties to 0, as in the count kernel
             key = self.keys[item]
-            guess = int(sum(map(operator.mul, key, self.lean)) > 0)
+            guess = self.predictor.guess(key)
             reach = [sum(map(operator.mul, key, e)) for e in self.emits]
             ends = [(*self.child(item, o), guess != o) for o in (0, 1) if reach[o]]
             if len(ends) == 1:
@@ -330,9 +333,12 @@ class _Nodes:
             node, s = divmod(item, self.k)
             p, guess = self.predictor, self.guesses.get(node)
             if guess is None:
-                p.restore(self.keys[node])
-                p.inform_state(s)
-                guess = p.predict()
+                if self.counting:
+                    guess = p.guess(self.keys[node])
+                else:
+                    p.restore(self.keys[node])
+                    p.inform_state(s)
+                    guess = p.predict()
                 if self.blind:
                     self.guesses[node] = guess
             ends = [(self.child(node, o)[0] * self.k + self.trans[s][b], 1, guess != o)

@@ -12,7 +12,9 @@ Every predictor offers ``snapshot``/``restore``, which exact evaluation
 requires. The model-tracking predictors share one count vector: the ensemble
 is the consistency predictor of the disjoint union of its candidates, and the
 consistency predictor reads its machine's tables alone, keeping per observed
-bit and state the successors of the inputs that emit that bit. The ensemble's
+bit and state the successors of the inputs that emit that bit. Its
+``next_counts`` and ``guess``, pure functions of a count vector, serve
+``observe``, ``predict`` and exact evaluation alike. The ensemble's
 ``pair_counts`` sums its vector per candidate. :func:`training_pool`, a
 lenient ensemble that has observed training data, is where batch selection and
 search read the consistent (input sequence, machine) pairs. A label that names
@@ -22,6 +24,7 @@ a machine hashes it only when read.
 from __future__ import annotations
 
 import logging
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from itertools import accumulate
@@ -135,11 +138,11 @@ class ConsistencyPredictor(Predictor):
         return f"consistency:{machine_id(self.machine)[:12]}"
 
     def reset(self):
-        self._counts = list(self._start)
+        self._counts = self._start
 
     @property
     def consistency_vector(self) -> tuple[int, ...]:
-        return tuple(self._counts)
+        return self._counts
 
     @property
     def consistent(self) -> bool:
@@ -147,26 +150,29 @@ class ConsistencyPredictor(Predictor):
 
     def pending_counts(self) -> tuple[int, int]:
         """(#continuations emitting 0, #continuations emitting 1)."""
+        return tuple(sum(map(operator.mul, self._counts, d)) for d in self._deg)
+
+    def guess(self, counts: tuple[int, ...]) -> int:
+        """1 if more continuations of ``counts`` emit 1 than 0; ties go to 0."""
         d0, d1 = self._deg
-        p = q = 0
-        for c, a, b in zip(self._counts, d0, d1):
+        return int(sum(map(operator.mul, counts, d1)) > sum(map(operator.mul, counts, d0)))
+
+    def next_counts(self, counts: tuple[int, ...], bit: int) -> tuple[int, ...]:
+        """``counts`` after observing ``bit``; all zero if no sequence emits it."""
+        new = [0] * len(counts)
+        for c, succ in zip(counts, self._succ[bit]):
             if c:
-                p += c * a
-                q += c * b
-        return p, q
+                for n in succ:
+                    new[n] += c
+        return tuple(new)
 
     def predict(self) -> int:
-        p, q = self.pending_counts()
-        return 0 if p >= q else 1
+        return self.guess(self._counts)
 
     def observe(self, bit: int):
         if bit not in (0, 1):
             raise ValueError(f"invalid bit {bit!r}")
-        new = [0] * len(self._counts)
-        for c, succ in zip(self._counts, self._succ[bit]):
-            if c:
-                for n in succ:
-                    new[n] += c
+        new = self.next_counts(self._counts, bit)
         if not any(new):
             if self.strict:
                 raise InconsistentObservation(self._impossible(bit))
@@ -181,10 +187,10 @@ class ConsistencyPredictor(Predictor):
         )
 
     def snapshot(self):
-        return tuple(self._counts)
+        return self._counts
 
     def restore(self, snap):
-        self._counts = list(snap)
+        self._counts = tuple(snap)
 
 
 class EnsemblePredictor(ConsistencyPredictor):

@@ -160,10 +160,61 @@ class TestFormat:
         m = parse_machine(text)
         assert m == MealyMachine(1, ((0, 0),), ((0, 1),))
 
+    def test_comment_needs_no_space_after_hash(self):
+        text = "#header\nmealy 1\n\t#!note\ninitial 0\n0 0 -> 0 0\n0 1 -> 0 1\n"
+        assert parse_machine(text) == MealyMachine(1, ((0, 0),), ((0, 1),))
+
     def test_error_carries_line_number(self):
         with pytest.raises(MachineFormatError) as err:
             parse_machine("mealy 2\ninitial 0\n0 0 -> 1\n")
         assert err.value.line == 3
+
+    @pytest.mark.parametrize("text, message, line", [
+        ("  mealy 2 x \t\n", "expected 'mealy <k>', got 'mealy 2 x'", 1),
+        ("# c\n\nstates 2\n", "expected 'mealy <k>', got 'states 2'", 3),
+        ("mealy two\n", "state count 'two' is not an integer", 1),
+        ("mealy 0\n", "state count must be positive", 1),
+        ("mealy 2\n   # c\ninit 0\n", "expected 'initial <i>', got 'init 0'", 3),
+        ("mealy 2\ninitial\n", "expected 'initial <i>', got 'initial'", 2),
+        ("mealy 2\ninitial s0\n", "initial state 's0' is not an integer", 2),
+        ("mealy 2\ninitial 2\n", "initial state 2 out of range for 2 states", 2),
+        ("mealy 2\ninitial 0\n0 0 -> 1 1 # c\n", "expected '<state> <input> -> <next> <output>', got '0 0 -> 1 1 # c'", 3),
+        ("mealy 2\ninitial 0\n\t0 0 => 1 1 \n", "expected '<state> <input> -> <next> <output>', got '0 0 => 1 1'", 3),
+        ("mealy 2\ninitial 0\n 0 0 -> 1 x\n", "non-integer field in entry '0 0 -> 1 x'", 3),
+        ("mealy 2\ninitial 0\n2 0 -> 1 1\n", "state 2 out of range for 2 states", 3),
+        ("mealy 2\ninitial 0\n0 2 -> 1 1\n", "input bit must be 0 or 1, got 2", 3),
+        ("mealy 2\ninitial 0\n0 1 -> -1 1\n", "target state -1 out of range for 2 states", 3),
+        ("mealy 2\ninitial 0\n0 1 -> 1 2\n", "output bit must be 0 or 1, got 2", 3),
+        ("mealy 2\ninitial 0\n1 1 -> 1 1\n#\n1 1 -> 0 0\n",
+         "duplicate entry for state 1 input 1 (first at line 3)", 5),
+        ("", "empty document: missing 'mealy <k>' header", None),
+        ("# only\n  \n", "empty document: missing 'mealy <k>' header", None),
+        ("mealy 1\n", "missing 'initial <i>' line", None),
+        ("mealy 2\ninitial 1\n0 0 -> 1 1\n0 1 -> 1 1\n1 1 -> 1 1\n", "missing entry for state 1 input 0", None),
+    ])
+    def test_each_error_names_its_line(self, text, message, line):
+        with pytest.raises(MachineFormatError) as err:
+            parse_machine(text)
+        assert err.value.line == line
+        assert str(err.value) == (message if line is None else f"line {line}: {message}")
+
+    @pytest.mark.parametrize("args, message", [
+        ((0, (), ()), "a machine needs at least one state"),
+        ((2, ((0, 1),), ((0, 1), (1, 0))), "transition/output tables must have one row per state"),
+        ((1, ((0, 0, 0),), ((0, 1),)), "state 0 needs exactly two entries"),
+        ((2, ((0, 1), (1, 2)), ((0, 1), (1, 0))), "transition (1,1) targets state 2 out of range"),
+        ((1, ((0, 0),), ((0, 2),)), "output (0,1) must be a bit"),
+        ((1, ((0, 0),), ((0, 1),), 1), "initial state 1 out of range"),
+    ])
+    def test_constructor_errors(self, args, message):
+        with pytest.raises(ValueError) as err:
+            MealyMachine(*args)
+        assert str(err.value) == message
+
+    def test_tables_become_int_tuples(self):
+        m = MealyMachine(2, [[1, True], [0, 1]], [(False, 1), [1, 0]])
+        assert (m.transition, m.output) == (((1, 1), (0, 1)), ((0, 1), (1, 0)))
+        assert all(type(x) is int for row in m.transition + m.output for x in row)
 
     @given(machines_strategy())
     @settings(max_examples=80, deadline=None)

@@ -9,12 +9,15 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mealypred.automaton
 from mealypred import MealyMachine, relabel, serialize_machine
-from mealypred.cli import main
+from mealypred.cli import _write_json, main
 from mealypred.machines import (
     alternating_ring,
     constant_machine,
@@ -859,3 +862,63 @@ class TestGoldenHuman:
     def test_output_is_unchanged(self, runner, workdir, case):
         result = runner.invoke(main, case["argv"])
         assert (result.exit_code, result.stdout) == (case["exit_code"], case["stdout"])
+
+
+def _written(value) -> str:
+    parts = []
+    _write_json(value, parts)
+    return "".join(parts)
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+            | st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf"),
+                               "\u00e9\u2603\U0001f600", "\x00\x1f\x7f\"\\"]))
+
+
+def _containers(inner):
+    return (st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+            | st.dictionaries(st.text(), inner, max_size=5))
+
+
+_JSON_VALUES = st.recursive(_SCALARS, _containers, max_leaves=40)
+
+
+class TestReportWriter:
+    """The one-pass report writer gives the bytes of json.dumps(indent=2)."""
+
+    @given(_JSON_VALUES)
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_matches_json_dumps(self, value):
+        assert _written(value) == json.dumps(value, indent=2)
+
+    def test_empty_and_nested_containers(self):
+        for value in ([], {}, (), [[]], {"a": {}}, [(), [{}]], {"x": [1, {"y": ()}]}, [-0.0, 1e300, 10**40]):
+            assert _written(value) == json.dumps(value, indent=2)
+
+    def test_float_subclasses_as_floats(self):
+        # numpy's float64 is a float subclass, which json.dumps writes by float.__repr__
+        value = {"a": np.float64(0.1), "b": [np.float64("nan"), np.float64(-np.inf), 2], "c": [np.float64(1e-7)]}
+        assert _written(value) == json.dumps(value, indent=2)
+        assert _written(np.float64(0.5)) == "0.5"
+
+    @pytest.mark.parametrize("name", ["human.json", "monte_carlo.json"])
+    def test_matches_json_dumps_on_golden_files(self, name):
+        cases = json.loads((Path(__file__).parent / "golden" / name).read_text())
+        for value in [cases] + cases + [c["result"] for c in cases if "result" in c]:
+            assert _written(value) == json.dumps(value, indent=2)
+
+    def test_refuses_what_json_refuses(self):
+        for value in ({1, 2}, [b"x"], {"a": object()}):
+            with pytest.raises(TypeError):
+                json.dumps(value, indent=2)
+            with pytest.raises(TypeError):
+                _written(value)
+
+    def test_report_file_is_json_dumps_text(self, runner, tmp_path):
+        path = tmp_path / "demo8.mealy"
+        path.write_text(serialize_machine(eight_state_example()))
+        out = tmp_path / "report.json"
+        args = ["evaluate", "-m", str(path), "-t", "8", "--per-step", "--format", "json", "--out", str(out)]
+        assert runner.invoke(main, args).exit_code == 0
+        text = out.read_bytes().decode("ascii")
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"

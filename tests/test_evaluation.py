@@ -358,6 +358,94 @@ class TestNodeWalk:
         assert _walked(caplog) == "(node, state) pairs"
 
 
+class _SubConsistency(ConsistencyPredictor):
+    """No override: only its type sends it down the online protocol."""
+
+
+class _SubEnsemble(EnsemblePredictor):
+    """No override: only its type sends it down the online protocol."""
+
+
+class TestTableWalk:
+    """A counting predictor of exact type is walked through its count table;
+    a trivial subclass is restored, shown each bit and asked to predict. The
+    two give equal reports."""
+
+    @staticmethod
+    def _both(m, members, t):
+        """The exact reports of the exact type and of its subclass."""
+        if len(members) == 1:
+            return [evaluate_exhaustive(m, cls(members[0]), t, per_step=True)
+                    for cls in (ConsistencyPredictor, _SubConsistency)]
+        return [evaluate_exhaustive(m, cls(members), t, per_step=True)
+                for cls in (EnsemblePredictor, _SubEnsemble)]
+
+    def test_consistency_matches_protocol(self, caplog):
+        caplog.set_level("DEBUG", logger="mealypred.evaluation")
+        rng = random.Random(17)
+        for m in [eight_state_example()] + [random_machine(rng.randint(2, 8), rng) for _ in range(8)]:
+            t = rng.randint(6, 12)
+            # the generator itself walks nodes; another machine, which dies
+            # on some observed prefixes, and the all-zero model, which dies
+            # at the first 1, walk pairs
+            for model, kind in ((m, "nodes"), (random_machine(rng.randint(1, 4), rng), "(node, state) pairs"),
+                                (constant_machine(0), "(node, state) pairs")):
+                table, protocol = self._both(m, [model], t)
+                assert _walked(caplog) == "(node, state) pairs"  # the subclass walks pairs
+                assert table == protocol
+                evaluate_exhaustive(m, ConsistencyPredictor(model), t)
+                assert _walked(caplog) == kind
+
+    def test_ensemble_with_dying_candidates_matches_protocol(self):
+        rng = random.Random(18)
+        for _ in range(8):
+            m = random_machine(rng.randint(2, 6), rng)
+            a = random_machine(rng.randint(1, 4), rng)
+            t = rng.randint(6, 12)
+            for members in ([m, a, constant_machine(0)], [constant_machine(1), m],
+                            [a, constant_machine(0), constant_machine(1)]):
+                table, protocol = self._both(m, members, t)
+                assert table == protocol
+
+    @pytest.mark.parametrize("weighting", ["pairs", "machines"])
+    def test_batch_select_matches_protocol(self, weighting):
+        rng = random.Random(19)
+        for _ in range(6):
+            machines = tuple(random_machine(rng.randint(1, 4), rng) for _ in range(3))
+            training = Bits(rng.randrange(8), 3)
+            if not any(training_pool(machines, training).pair_counts()):
+                continue
+            default = default_batch_predictors(machines)
+            subclassed = default[:2] + tuple(_SubConsistency(m) for m in machines)
+            assert [type(p) for p in default[2:]] == [ConsistencyPredictor] * 3
+            selections = [batch_select(BatchProblem(machines, training, 10, ps), weighting=weighting)
+                          for ps in (default, subclassed)]
+            assert selections[0] == selections[1]
+
+    def test_walk_never_drives_the_predictor(self, monkeypatch):
+        # an exact-type walk reads guesses and children off the count
+        # table: no observe or predict, and restore only puts back the root
+        calls = []
+
+        def spy(cls, name):
+            method = getattr(cls, name)
+            monkeypatch.setattr(cls, name, lambda self, *a: calls.append((name, a)) or method(self, *a))
+
+        for cls, name in ((ConsistencyPredictor, "observe"), (EnsemblePredictor, "observe"),
+                          (ConsistencyPredictor, "predict"), (ConsistencyPredictor, "restore")):
+            spy(cls, name)
+        rng = random.Random(20)
+        m, a = random_machine(5, rng), random_machine(3, rng)
+        for p in (ConsistencyPredictor(m), ConsistencyPredictor(a), EnsemblePredictor([a, m]),
+                  EnsemblePredictor([a, constant_machine(1)])):
+            calls.clear()
+            evaluate_exhaustive(m, p, 10)
+            assert calls == [("restore", (p.snapshot(),))]
+        calls.clear()
+        evaluate_exhaustive(m, _SubConsistency(a), 6)
+        assert {name for name, _ in calls} == {"observe", "predict", "restore"}
+
+
 class TestMonteCarlo:
     def test_deterministic_for_fixed_seed(self, echo):
         a = evaluate_monte_carlo(echo, ConsistencyPredictor(echo), 16, 500, seed=7)
