@@ -15,7 +15,7 @@ runs in one process. ``-v`` before the subcommand sends the package's debug
 log to stderr; reports do not change.
 
 Exit codes: 0 success, 2 usage, parse, file or output error, 3 cap refusal
-or a request too large to allocate, 4 data inconsistent with every assumed
+or a request too large to hold, 4 data inconsistent with every assumed
 machine. :func:`_run` maps failures to them for every subcommand.
 """
 
@@ -669,7 +669,7 @@ def _run(argv: list[str]) -> int:
     except (InconsistentObservation, InconsistentTrainingData) as e:
         print(f"inconsistent data: {e}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except (CapExceeded, MemoryError) as e:
+    except (CapExceeded, MemoryError, OverflowError) as e:
         print(f"refused: {e}", file=sys.stderr)
         return EXIT_CAP
     except BrokenPipeError:

@@ -14,6 +14,7 @@ read the chunks, and predictor search scores them without building machines.
 
 from __future__ import annotations
 
+import math
 from itertools import permutations, product
 from typing import Iterator
 
@@ -140,9 +141,10 @@ def machine_tables(
         raise ValueError("state count must be positive")
     cap = default_k_cap(mode) if cap is None else cap
     if k > cap:
+        rough = f"{raw_machine_count(k):.3g}" if k < 64 else f"10^{2 * k * math.log10(2 * k):.3g}"
         raise CapExceeded(
             f"enumeration of {k}-state machines in {mode.replace('_', '-')} mode "
-            f"exceeds the cap of {cap} (roughly {raw_machine_count(k):.3g} raw machines)"
+            f"exceeds the cap of {cap} (roughly {rough} raw machines)"
         )
     base, width = 2 * k, 2 * k
     trailing = 1

@@ -25,7 +25,7 @@ outgrows ``FRONTIER_BUDGET`` items is refused with :class:`CapExceeded`.
 
 In the batch setting the consistent (input sequence, machine) pairs of
 training data are the count vector of the training pool
-(:func:`~mealypred.predictors.training_pool`), one lenient ensemble of the
+(:func:`~mealypred.predictors.training_pool`), one ensemble of the
 candidate machines that has observed it: per candidate its pair count, per
 state of the candidates' disjoint union the pairs ending there. Batch
 selection scores each predictor with one walk over that union, started from
@@ -48,9 +48,9 @@ predictor, a subclass of a built-in one included, runs the online protocol
 (:func:`~mealypred.predictors.run_beside`) per sample. Each path overwrites
 the sampled bits with its misses, which are summed once.
 
-Predictors whose machine model is contradicted by an observation are scored
-leniently here, by every engine: a dead model keeps emitting the tie-rule 0.
-This makes cross-machine scores and batch continuation scores well-defined.
+A consistency or ensemble predictor whose machines an observation rules out
+is dead and keeps emitting the tie-rule 0, on every path alike, so
+cross-machine scores and batch continuation scores are well-defined.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from __future__ import annotations
 import logging
 import math
 import operator
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -151,19 +150,6 @@ def rational_str(x) -> str:
     return repr(float(x))
 
 
-@contextmanager
-def _lenient(predictor: Predictor):
-    """Temporarily disable strict inconsistency errors on model-tracking predictors."""
-    toggle = isinstance(predictor, ConsistencyPredictor) and predictor.strict
-    if toggle:
-        predictor.strict = False
-    try:
-        yield
-    finally:
-        if toggle:
-            predictor.strict = True
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo sweeps, each overwriting column i of the sampled bits with step i's misses
 
@@ -212,44 +198,31 @@ def _sweep_consistency(machine: MealyMachine, predictor: ConsistencyPredictor, b
               n, t, normalised, counts.dtype)
 
 
-def _product_machine(machine: MealyMachine, predictor: Predictor) -> tuple[np.ndarray, int]:
-    """The predictor run beside the generator, as one machine on input bits.
-
-    Its rows are the (snapshot node, generator state) pairs reachable from
-    the predictor's current snapshot and the initial state, each expanded
-    once and numbered in the order found, so the start is row 0. Returns
-    their edges, flat at ``2 * row + input bit``: ``2 * next row + miss``,
-    where ``miss`` is 1 if the guess differs from the generator's output, and
-    the number of rows. The walk ends only for predictors with finitely many
-    snapshots.
-    """
-    nodes = _Nodes(machine, predictor)
-    pairs, rows, edges = [machine.initial_state], {machine.initial_state: 0}, []
-    for at in pairs:  # grows as new pairs are found
-        _, to0, _, miss0, to1, _, miss1 = nodes.expand(at)
-        for to, miss in ((to0, miss0), (to1, miss1)):
-            if to not in rows:
-                rows[to] = len(pairs)
-                pairs.append(to)
-            edges.append(2 * rows[to] + miss)
-    predictor.restore(nodes.root)
-    return np.array(edges, dtype=np.int64), len(pairs)
-
-
 def _sweep_product(machine: MealyMachine, predictor: Predictor, bits: np.ndarray) -> None:
-    """Run the product machine of a finite-state predictor over every sample."""
-    # Both tables read flat at 2 * row + input bit: one index per step and
-    # 1-D gathers; 2-D [row, bit] gathers took 2.5 times as long at t=200
-    # with 10,000 samples.
-    edges, pairs = _product_machine(machine, predictor)
+    """Run a finite-state predictor beside the generator over every sample, as
+    one product machine on input bits. Its states are the exact walk's (node,
+    generator state) pairs, expanded to a fixpoint from the predictor's
+    snapshot and the initial state; it ends only for finitely many snapshots."""
+    nodes, todo = _Nodes(machine, predictor), [machine.initial_state]
+    while todo:
+        if (at := todo.pop()) not in nodes.steps:
+            todo += nodes.expand(at)[1::3]  # the next pair per input bit
+    predictor.restore(nodes.root)
+    # Both tables read flat at 2 * pair + input bit, the edge there being
+    # 2 * next pair + miss: one index per step and 1-D gathers; 2-D
+    # [pair, bit] gathers took 2.5 times as long at t=200 with 10,000 samples.
+    edges = np.zeros(2 * len(nodes.keys) * machine.num_states, dtype=np.int64)
+    for at, (_, to0, _, miss0, to1, _, miss1) in nodes.steps.items():
+        edges[2 * at:2 * at + 2] = 2 * to0 + miss0, 2 * to1 + miss1
     succ, miss = edges & -2, edges & 1
     n, t = bits.shape
-    at = np.zeros(n, dtype=np.int64)  # 2 * row
+    at = np.full(n, 2 * machine.initial_state, dtype=np.int64)  # 2 * pair
     for i in range(t):
         at += bits[:, i]
         bits[:, i] = miss[at]
         at = succ[at]
-    log.debug("product machine, %d samples, t=%d: %d (node, state) pairs expanded", n, t, pairs)
+    log.debug("product machine, %d samples, t=%d: %d (node, state) pairs expanded",
+              n, t, len(nodes.steps))
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +241,7 @@ class _Nodes:
     all-zero vector as it is): a guess compares two sums over one vector and
     observing is linear, so proportional vectors guess alike forever after.
     Of exact type, such a predictor is not driven: its ``guess`` and
-    ``next_counts`` of the key give them, so it logs no lenient lines.
+    ``next_counts`` of the key give them, so it logs no elimination lines.
 
     A node item counts input sequences per unit of its block's counts, which
     split the sequences reaching the node over the generator's states. Its
@@ -455,9 +428,8 @@ def evaluate_exhaustive(
             f"(2**{t} sequences); raise the cap explicitly or use Monte Carlo"
         )
     _check_informed(machine, predictor)
-    with _lenient(predictor):
-        predictor.reset()
-        total, wc, step = _frontier_totals(machine, predictor, t, {machine.initial_state: 1}, per_step)
+    predictor.reset()
+    total, wc, step = _frontier_totals(machine, predictor, t, {machine.initial_state: 1}, per_step)
     n = 1 << t
     return ErrorReport(
         machine_id=machine_id(machine),
@@ -494,16 +466,15 @@ def evaluate_monte_carlo(
     _check_informed(machine, predictor)
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=(samples, t), dtype=np.uint8)
-    with _lenient(predictor):
-        predictor.reset()
-        if type(predictor) in _COUNTING:
-            _sweep_consistency(machine, predictor, bits)
-        elif type(predictor) in _FINITE:
-            _sweep_product(machine, predictor, bits)
-        else:
-            for row in bits:
-                row[:] = [guess != out for guess, out in run_beside(machine, predictor, row.tolist())]
-            log.debug("online protocol, %d samples, t=%d", samples, t)
+    predictor.reset()
+    if type(predictor) in _COUNTING:
+        _sweep_consistency(machine, predictor, bits)
+    elif type(predictor) in _FINITE:
+        _sweep_product(machine, predictor, bits)
+    else:
+        for row in bits:
+            row[:] = [guess != out for guess, out in run_beside(machine, predictor, row.tolist())]
+        log.debug("online protocol, %d samples, t=%d", samples, t)
     misses = bits.sum(axis=1)  # bits now holds the misses, per sample and step
     total, wc = int(misses.sum()), int(misses.max())
     return ErrorReport(
@@ -636,10 +607,9 @@ def batch_select(
     for idx, predictor in enumerate(problem.predictors):
         if type(predictor).inform_state is not Predictor.inform_state:
             raise TypeError("state-informed predictors cannot be scored in the batch setting")
-        with _lenient(predictor):
-            train_errors, died = _train_predictor(predictor, problem.training)
-            errors, _, _ = _frontier_totals(pool.machine, predictor, delta, start)
-            predictor.reset()
+        train_errors, died = _train_predictor(predictor, problem.training)
+        errors, _, _ = _frontier_totals(pool.machine, predictor, delta, start)
+        predictor.reset()
         scores.append(
             PredictorScore(predictor.label, idx, Fraction(errors, denom), train_errors, died)
         )

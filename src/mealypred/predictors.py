@@ -15,10 +15,10 @@ consistency predictor reads its machine's tables alone, keeping per observed
 bit and state the successors of the inputs that emit that bit. Its
 ``next_counts`` and ``guess``, pure functions of a count vector, serve
 ``observe``, ``predict`` and exact evaluation alike. The ensemble's
-``pair_counts`` sums its vector per candidate. :func:`training_pool`, a
-lenient ensemble that has observed training data, is where batch selection and
-search read the consistent (input sequence, machine) pairs. A label that names
-a machine hashes it only when read.
+``pair_counts`` sums its vector per candidate. :func:`training_pool`, an
+ensemble that has observed training data, is where batch selection and search
+read the consistent (input sequence, machine) pairs. A label that names a
+machine hashes it only when read.
 """
 
 from __future__ import annotations
@@ -114,13 +114,11 @@ class ConsistencyPredictor(Predictor):
     one-step continuations emitting 0 versus 1 decide the prediction; ties
     go to 0. Counts are exact big integers, so ties are decided exactly.
 
-    With ``strict`` set (the default) an observation that empties the
-    consistency class raises :class:`InconsistentObservation` and leaves the
-    counts as they were; otherwise the predictor goes dead and keeps
-    emitting the tie-rule 0.
+    An observation that empties the consistency class leaves the predictor
+    dead, not ``consistent``: its counts all zero, it guesses the tie-rule 0.
     """
 
-    def __init__(self, machine: MealyMachine, *, strict: bool = True):
+    def __init__(self, machine: MealyMachine):
         self.machine = machine
         # per observed bit and state: the successors of the inputs emitting it
         self._succ = tuple(
@@ -129,7 +127,6 @@ class ConsistencyPredictor(Predictor):
             for bit in (0, 1)
         )
         self._deg = tuple(tuple(map(len, rows)) for rows in self._succ)
-        self.strict = strict
         self._start = tuple(int(s == machine.initial_state) for s in range(machine.num_states))
         self.reset()
 
@@ -172,13 +169,9 @@ class ConsistencyPredictor(Predictor):
     def observe(self, bit: int):
         if bit not in (0, 1):
             raise ValueError(f"invalid bit {bit!r}")
-        new = self.next_counts(self._counts, bit)
-        if not any(new):
-            if self.strict:
-                raise InconsistentObservation(self._impossible(bit))
-            if log.isEnabledFor(logging.DEBUG):  # the label hashes the machine
-                log.debug("%s: model ruled out by observation", self.label)
-        self._counts = new
+        self._counts = self.next_counts(self._counts, bit)
+        if log.isEnabledFor(logging.DEBUG) and not any(self._counts):  # the label hashes the machine
+            log.debug("%s: model ruled out by observation", self.label)
 
     def _impossible(self, bit: int) -> str:
         return (
@@ -200,11 +193,10 @@ class EnsemblePredictor(ConsistencyPredictor):
     weighted equally. That is consistency prediction on the disjoint union of
     the candidates, one block of states each, started with one count at each
     candidate's initial state. Candidates ruled out by an observation drop
-    out silently; only when every candidate is gone does a strict ensemble
-    raise.
+    out; when every candidate is gone the ensemble is dead.
     """
 
-    def __init__(self, machines: Sequence[MealyMachine], *, strict: bool = True):
+    def __init__(self, machines: Sequence[MealyMachine]):
         if not machines:
             raise ValueError("ensemble needs at least one machine")
         ends = tuple(accumulate(m.num_states for m in machines))
@@ -214,7 +206,7 @@ class EnsemblePredictor(ConsistencyPredictor):
             tuple(tuple(o + s for s in row) for m, o in zip(machines, offsets) for row in m.transition),
             tuple(row for m in machines for row in m.output),
         )
-        super().__init__(union, strict=strict)
+        super().__init__(union)
         self._members = tuple(machines)
         self._blocks = tuple(zip(offsets, ends))
         self._start = tuple(int(s == m.initial_state) for m in machines for s in range(m.num_states))
@@ -246,9 +238,9 @@ class EnsemblePredictor(ConsistencyPredictor):
 
 
 def training_pool(machines: Sequence[MealyMachine], observed: Bits) -> EnsemblePredictor:
-    """The lenient ensemble of ``machines`` after ``observed``: its counts are
-    the consistent (input sequence, machine) pairs by end state of the union."""
-    pool = EnsemblePredictor(machines, strict=False)
+    """The ensemble of ``machines`` after ``observed``: its counts are the
+    consistent (input sequence, machine) pairs by end state of the union."""
+    pool = EnsemblePredictor(machines)
     for bit in observed:
         if not pool.consistent:
             break
@@ -344,10 +336,15 @@ def trace_predictor(
     machine: MealyMachine, predictor: Predictor, input_bits: Bits | str
 ) -> PredictorTrace:
     """Run ``machine`` on ``input_bits`` while the predictor guesses each
-    output bit one step ahead."""
+    output bit one step ahead. A consistency or ensemble predictor that an
+    output bit leaves dead raises :class:`InconsistentObservation` there."""
     if isinstance(input_bits, str):
         input_bits = Bits.from_string(input_bits)
-    steps = list(run_beside(machine, predictor, input_bits))
+    counting, steps = isinstance(predictor, ConsistencyPredictor), []
+    for guess, out in run_beside(machine, predictor, input_bits):
+        if counting and not predictor.consistent:
+            raise InconsistentObservation(predictor._impossible(out))
+        steps.append((guess, out))
     return PredictorTrace(
         tuple(g for g, _ in steps),
         tuple(o for _, o in steps),

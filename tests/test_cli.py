@@ -12,12 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mealypred.automaton
 from mealypred import MealyMachine, relabel, serialize_machine
-from mealypred.cli import _write_json, main
+from mealypred.cli import _FIELDS, _write_json, main
 from mealypred.machines import (
     alternating_ring,
     constant_machine,
@@ -52,6 +52,15 @@ def run_json(runner, args):
     result = runner.invoke(main, args + ["--format", "json"])
     assert result.exit_code == 0, result.output
     return json.loads(result.output)
+
+
+# continuations of 10**30 bits, past any integer 2**continuation
+_HUGE_CONFIGS = [
+    {"command": "batch-select", "candidates": ["{const0}", "{const1}"], "training": "0",
+     "horizon": 10**30, "weighting": "pairs"},
+    {"command": "search", "targets": ["{const0}"], "k": 1, "t": 10, "top_n": 10, "cap_t": 24,
+     "after_training": "0", "continuation": 10**30},
+]
 
 
 class TestRun:
@@ -190,6 +199,40 @@ class TestExitCodes:
              files["const0"], "--input", "111"],
         )
         assert result.exit_code == 4
+
+    @pytest.mark.parametrize("predictor, lines", [
+        (["--predictor-machine", "{const0}"], [
+            "mealypred.predictors: consistency:45f0183de2a5: model ruled out by observation",
+            "inconsistent data: observed bit 1 is impossible for machine 45f0183de2a5 given the prefix so far",
+        ]),
+        (["--predictor", "ensemble", "--candidates", "{const0}"], [
+            "mealypred.predictors: ensemble-1: model ruled out by observation",
+            "mealypred.predictors: ensemble: candidate 0 (consistency:45f0183de2a5) eliminated",
+            "inconsistent data: observed prefix is impossible for every machine in the ensemble",
+        ]),
+    ], ids=["consistency", "ensemble"])
+    def test_impossible_prediction_lines(self, runner, files, predictor, lines):
+        # the refusal is the only line; -v logs the model's death before it
+        args = ["predict", "-m", files["const1"], "--input", "01"] + [a.format(**files) for a in predictor]
+        for verbose, expected in (([], lines[-1:]), (["-v"], lines)):
+            result = runner.invoke(main, verbose + args)
+            assert (result.exit_code, result.stdout) == (4, "")
+            assert result.stderr.splitlines() == expected
+
+    @pytest.mark.parametrize("source", ["argv", "replay"])
+    @pytest.mark.parametrize("config", _HUGE_CONFIGS, ids=["batch-select", "search"])
+    def test_huge_continuation_refused(self, runner, files, tmp_path, source, config):
+        # 2**(10**30) has too many digits to hold: refused, not a traceback
+        config = _fuzz_filled(config, files)
+        if source == "argv":
+            args = _fuzz_argv(config)
+        else:
+            path = tmp_path / "huge.json"
+            path.write_text(json.dumps(config))
+            args = ["replay", str(path)]
+        result = runner.invoke(main, args)
+        assert (result.exit_code, result.stdout) == (3, ""), result.output
+        assert result.stderr.startswith("refused: ") and result.stderr.count("\n") == 1
 
     def test_inconsistent_training(self, runner, files):
         result = runner.invoke(
@@ -332,6 +375,12 @@ class TestEnumerateCmd:
             "refused: enumeration of 5-state machines in strongly-connected mode exceeds "
             "the cap of 4 (roughly 1e+10 raw machines)"
         ]
+
+    def test_cap_refusal_of_a_huge_count(self, runner):
+        # (2k)**(2k) at k = 10**30 has too many digits to compute; its size is given instead
+        result = runner.invoke(main, ["enumerate", "-k", str(10**30), "--count-only"])
+        assert (result.exit_code, result.stdout) == (3, "")
+        assert result.stderr.endswith("exceeds the cap of 4 (roughly 10^6.06e+31 raw machines)\n")
 
     def test_cap_k_help_lists_every_default(self, runner):
         result = runner.invoke(main, ["enumerate", "--help"])
@@ -799,6 +848,130 @@ class TestCaps:
     def test_cap_k_within_the_canonical_default_needs_nothing(self, runner):
         args = ["enumerate", "-k", "2", "--cap-k", "4", "--count-only"]
         assert runner.invoke(main, args).exit_code == 0
+
+
+# A config is drawn sound, then one or two of its fields are flawed or left
+# out. Integers come from -3..40 or from 2**64 up, never between: a shift by
+# about 2**32 allocates gigabytes before anything can refuse it. A sound state
+# count skips 4, which every cap admits and which enumerates millions of
+# machines.
+_FUZZ_SOUND = {
+    "int": st.integers(1, 40),
+    "k": st.integers(1, 3),
+    "machine": st.sampled_from(["{const0}", "{const1}", "{echo}", "{altring}"]),
+    "bits": st.text("01", max_size=6),
+}
+_FUZZ_FLAWED = {
+    "int": st.integers(-3, 40) | st.integers(2**64, 2**128),
+    "k": st.integers(-3, 0) | st.integers(5, 40) | st.integers(2**64, 2**128),
+    "machine": st.sampled_from(["{bad}", "{tmp}/missing.mealy", "-"]),
+    "bits": st.sampled_from(["01x", "@{tmp}/missing", "-"]),
+}
+_FUZZ_JUNK = st.sampled_from(["7", None, [1], 2.5])  # of the wrong JSON type for any field
+_FUZZ_COMMANDS = ("evaluate", "predict", "search", "batch-select", "enumerate")
+
+
+def _fuzz_value(f, pool):
+    """Values of config field ``f``, as a config holds them, from ``pool``."""
+    if f.type is bool:
+        return st.booleans()
+    if f.choices:
+        return st.sampled_from(list(f.choices.values()))
+    kind = "k" if f.key == "k" else "int" if f.type is int else "bits" if f.bits else "machine"
+    if f.type is list:
+        return st.lists(pool[kind], min_size=int(pool is _FUZZ_SOUND), max_size=3)
+    return pool[kind]
+
+
+@st.composite
+def _fuzz_config(draw, junk=False):
+    """A command and its fields, one or two flawed (with ``junk``, perhaps
+    of the wrong type) or left out."""
+    command = draw(st.sampled_from(_FUZZ_COMMANDS))
+    fields = [f for f in _FIELDS if command in f.defaults]
+    flawed = draw(st.sets(st.sampled_from([f.key for f in fields]), max_size=2))
+    config = {"command": command}
+    for f in fields:
+        if f.cap and f.key not in flawed:  # a sound cap is the default
+            config.update({f.key: f.defaults[command]} if f.defaults[command] else {})
+        elif f.key not in flawed:
+            config[f.key] = draw(_fuzz_value(f, _FUZZ_SOUND))
+        elif draw(st.booleans()):
+            config[f.key] = draw(_fuzz_value(f, _FUZZ_FLAWED) | _FUZZ_JUNK if junk else _fuzz_value(f, _FUZZ_FLAWED))
+    if command in ("evaluate", "predict"):  # sound predictor options go together
+        predictor = config.get("predictor", "consistency")
+        if "candidates" not in flawed and predictor != "ensemble":
+            del config["candidates"]
+        if "predictor_machine" not in flawed and (predictor not in ("consistency", "automaton")
+                                                 or predictor == "consistency" and draw(st.booleans())):
+            del config["predictor_machine"]
+    return config
+
+
+def _fuzz_argv(config) -> list[str]:
+    """The command line that sets the fields of ``config``."""
+    argv = [config["command"]]
+    for f in _FIELDS:
+        value = config.get(f.key)
+        if f.key not in config or value is False:
+            continue
+        if f.choices:  # a choice whose option is a boolean is a flag
+            option = next(o for o, v in f.choices.items() if v == value)
+            argv += [] if option is False else [f.flags[-1]] if option is True else [f.flags[-1], option]
+        elif value is True:
+            argv.append(f.flags[-1])
+        else:
+            argv += [x for item in (value if f.type is list else [value]) for x in (f.flags[-1], str(item))]
+    return argv
+
+
+def _fuzz_filled(value, where):
+    """``value`` with the paths of ``where`` filled in."""
+    if isinstance(value, dict):
+        return {k: _fuzz_filled(v, where) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_fuzz_filled(v, where) for v in value]
+    return value.format(**where) if isinstance(value, str) else value
+
+
+class TestContractFuzz:
+    """Whatever the command line or the replayed config, a command exits
+    0, 2, 3 or 4 with no traceback. ``--i-know-this-is-big`` is never given:
+    past the caps a horizon runs as long as it is asked to."""
+
+    @pytest.fixture(scope="class")
+    def where(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("fuzz")
+        for name, machine in [("const0", constant_machine(0)), ("const1", constant_machine(1)),
+                              ("echo", echo_machine()), ("altring", alternating_ring())]:
+            (d / f"{name}.mealy").write_text(serialize_machine(machine))
+        (d / "bad.mealy").write_text("mealy 2\n")
+        return {"tmp": str(d), "bad": str(d / "bad.mealy"),
+                **{n: str(d / f"{n}.mealy") for n in ("const0", "const1", "echo", "altring")}}
+
+    @staticmethod
+    def _check(argv):
+        result = CliRunner().invoke(main, argv)
+        assert result.exit_code in (0, 2, 3, 4), (argv, result.exception, result.output)
+        assert "Traceback" not in result.output
+
+    @given(config=_fuzz_config(), verbose=st.booleans(), fmt=st.booleans())
+    @example(config=_HUGE_CONFIGS[0], verbose=False, fmt=False)
+    @example(config=_HUGE_CONFIGS[1], verbose=False, fmt=False)
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    def test_command_line(self, where, config, verbose, fmt):
+        argv = [a.format(**where) for a in _fuzz_argv(config)]
+        self._check(["-v"] * verbose + argv + ["--format", "json"] * fmt)
+
+    @given(config=_fuzz_config(junk=True))
+    @example(config=_HUGE_CONFIGS[0])
+    @example(config=_HUGE_CONFIGS[1])
+    @settings(max_examples=250, derandomize=True, deadline=None)
+    def test_replayed_config(self, where, config):
+        path = f"{where['tmp']}/replayed.json"
+        with open(path, "w") as fh:
+            json.dump(_fuzz_filled(config, where), fh)
+        self._check(["replay", path])
 
 
 def _seeded(seed):

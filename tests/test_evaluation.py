@@ -26,7 +26,7 @@ from mealypred import (
     relabel,
     training_pool,
 )
-from mealypred.evaluation import PredictorScore, _Nodes, _lenient, _sweep_consistency
+from mealypred.evaluation import PredictorScore, _Nodes, _sweep_consistency
 from mealypred.machines import (
     alternating_ring,
     biased_unbiased_ring,
@@ -151,8 +151,7 @@ class TestExhaustive:
             ]
             for p in predictors:
                 fast = evaluate_exhaustive(m, p, t, per_step=True)
-                with _lenient(p):
-                    total, wc, step = oracles.predictor_totals(m, p, t, range(1 << t))
+                total, wc, step = oracles.predictor_totals(m, p, t, range(1 << t))
                 assert fast.e_ave == Fraction(total, t * (1 << t))
                 assert fast.e_wc == Fraction(wc, t)
                 assert fast.per_step_errors == tuple(
@@ -261,8 +260,7 @@ class TestMergedWalk:
             p = ConsistencyPredictor(m) if len(members) == 1 else EnsemblePredictor(members)
             r = evaluate_exhaustive(m, p, t, per_step=True)
             assert r.e_ave == oracles.predictor_error_double_sum(m, _union_rule(members, t), t)
-            with _lenient(p):
-                total, wc, step = oracles.predictor_totals(m, p, t, range(1 << t))
+            total, wc, step = oracles.predictor_totals(m, p, t, range(1 << t))
             assert r.e_ave == Fraction(total, t * (1 << t))
             assert r.e_wc == Fraction(wc, t)
             assert r.per_step_errors == tuple(Fraction(c, 1 << t) for c in step)
@@ -474,8 +472,7 @@ class TestMonteCarlo:
         bits = np.random.default_rng(seed).integers(0, 2, size=(samples, t), dtype=np.uint8)
         packed = [sum(int(b) << i for i, b in enumerate(row)) for row in bits]
         fast = evaluate_monte_carlo(m, p, t, samples, seed, per_step=True)
-        with _lenient(p):
-            total, wc, step = oracles.predictor_totals(m, p, t, packed)
+        total, wc, step = oracles.predictor_totals(m, p, t, packed)
         assert fast.e_ave == total / (t * samples)
         assert fast.e_wc == wc / t
         assert fast.per_step_errors == tuple(c / samples for c in step)
@@ -542,7 +539,7 @@ class TestMonteCarlo:
         snap = (2**53 + 1, 2**53)
         for m in (echo_machine(), pm, constant_machine(1)):
             bits = np.random.default_rng(5).integers(0, 2, size=(40, 12), dtype=np.uint8)
-            p = ConsistencyPredictor(pm, strict=False)
+            p = ConsistencyPredictor(pm)
             p.restore(snap)
             misses = bits.copy()  # the kernel overwrites it with its misses
             _sweep_consistency(m, p, misses)
@@ -607,7 +604,6 @@ class TestMonteCarlo:
         target = constant_machine(1)
         assert evaluate_exhaustive(target, p, 6).e_ave == 1
         assert evaluate_monte_carlo(target, p, 6, 10).e_ave == 1.0
-        assert p.strict
 
 
 class TestPredictorMachineError:
@@ -623,7 +619,7 @@ class TestPredictorMachineError:
             p = ConsistencyPredictor(model)
 
             def oracle_rule(prefix, _m=model):
-                q = ConsistencyPredictor(_m, strict=False)
+                q = ConsistencyPredictor(_m)
                 q.reset()
                 for bit in prefix:
                     q.observe(bit)
@@ -631,6 +627,59 @@ class TestPredictorMachineError:
 
             lhs = evaluate_exhaustive(target, p, t).e_ave
             assert lhs == oracles.predictor_error_double_sum(target, oracle_rule, t)
+
+
+class TestDeadModel:
+    """A model that an observation rules out mid-sequence is dead: it guesses
+    the tie-rule 0 from then on, on every engine path alike."""
+
+    # emits 0, then 1 forever: the constant-0 generator's second bit rules it
+    # out, after a guess of 1 that a model kept alive would repeat
+    MODEL = MealyMachine(2, ((1, 1), (1, 1)), ((0, 0), (1, 1)))
+    T = 6
+    # right at the first step, wrong at the second, then dead and right
+    DIES = (0, 1, 0, 0, 0, 0)
+
+    @pytest.mark.parametrize("make", [
+        ConsistencyPredictor,
+        lambda m: EnsemblePredictor([m]),
+        _SubConsistency,  # the protocol walk
+        lambda m: _SubEnsemble([m]),
+    ], ids=["consistency", "ensemble", "sub-consistency", "sub-ensemble"])
+    def test_pair_walk(self, const0, caplog, make):
+        caplog.set_level("DEBUG", logger="mealypred.evaluation")
+        r = evaluate_exhaustive(const0, make(self.MODEL), self.T, per_step=True)
+        assert r.per_step_errors == self.DIES
+        assert (r.e_ave, r.e_wc) == (Fraction(1, 6), Fraction(1, 6))
+        assert _walked(caplog) == "(node, state) pairs"
+
+    def test_node_walk(self, const0, caplog):
+        # With the generator among the candidates the walk is over nodes and
+        # the ensemble lives on: the two copies of the model outweigh it at
+        # the second step, then drop out and weigh nothing.
+        caplog.set_level("DEBUG", logger="mealypred.evaluation")
+        p = EnsemblePredictor([self.MODEL, self.MODEL, const0])
+        assert evaluate_exhaustive(const0, p, self.T, per_step=True).per_step_errors == self.DIES
+        assert _walked(caplog) == "nodes"
+
+    @pytest.mark.parametrize("make, path", [
+        (ConsistencyPredictor, "count kernel"),
+        (lambda m: EnsemblePredictor([m]), "count kernel"),
+        (_SubConsistency, "online protocol"),
+        (lambda m: _SubEnsemble([m]), "online protocol"),
+    ], ids=["consistency", "ensemble", "sub-consistency", "sub-ensemble"])
+    def test_monte_carlo(self, const0, caplog, make, path):
+        caplog.set_level("DEBUG", logger="mealypred.evaluation")
+        r = evaluate_monte_carlo(const0, make(self.MODEL), self.T, 20, seed=4, per_step=True)
+        assert r.per_step_errors == self.DIES
+        assert caplog.records[-1].getMessage().startswith(path)
+
+    def test_batch_training(self, const0):
+        # dead in training at the second bit, so the continuation is all right
+        predictors = (ConsistencyPredictor(self.MODEL), EnsemblePredictor([self.MODEL]),
+                      _SubConsistency(self.MODEL))
+        sel = batch_select(BatchProblem((const0,), Bits.from_string("000"), 6, predictors))
+        assert [(s.training_errors, s.model_died_in_training, s.score) for s in sel.scores] == [(1, True, 0)] * 3
 
 
 class TestDominance:
@@ -749,18 +798,17 @@ class TestBatchSelect:
                         pairs += 1
                         # continuation: machine resumes at the pair's end state
                         for h in range(1 << delta):
-                            with _lenient(p):
-                                p.reset()
-                                for bit in training:
-                                    p.observe(bit)
-                                s = path[-1]
-                                errs = 0
-                                for i in range(delta):
-                                    b = (h >> i) & 1
-                                    o = m.output[s][b]
-                                    errs += int(p.predict() != o)
-                                    p.observe(o)
-                                    s = m.transition[s][b]
+                            p.reset()
+                            for bit in training:
+                                p.observe(bit)
+                            s = path[-1]
+                            errs = 0
+                            for i in range(delta):
+                                b = (h >> i) & 1
+                                o = m.output[s][b]
+                                errs += int(p.predict() != o)
+                                p.observe(o)
+                                s = m.transition[s][b]
                             total += Fraction(errs, delta * (1 << delta))
                     if pairs:
                         per_machine.append((total, pairs))

@@ -78,18 +78,22 @@ class TestConsistency:
                 # conservation: the new total equals the count backing the branch
                 assert sum(expect) == (before_p if bit == 0 else before_q)
 
-    def test_inconsistent_observation_raises(self, const0):
-        p = ConsistencyPredictor(const0)
-        p.reset()
-        with pytest.raises(InconsistentObservation):
-            p.observe(1)
+    def test_inconsistent_observation_raises(self, const0, const1):
+        # observing never raises; a trace refuses the prefix that kills the model
+        with pytest.raises(InconsistentObservation, match=(
+                f"^observed bit 1 is impossible for machine {machine_id(const0)[:12]} "
+                "given the prefix so far$")):
+            trace_predictor(const1, ConsistencyPredictor(const0), "0")
 
-    def test_lenient_mode_goes_dead_and_predicts_tie(self, const0):
-        p = ConsistencyPredictor(const0, strict=False)
+    def test_impossible_observation_goes_dead_and_predicts_tie(self, const0):
+        p = ConsistencyPredictor(const0)
         p.reset()
         p.observe(1)
         assert not p.consistent
         assert p.pending_counts() == (0, 0)
+        assert p.predict() == 0
+        p.observe(0)  # a dead model stays dead
+        assert p.consistency_vector == (0,)
         assert p.predict() == 0
 
     def test_step_errors_equal_min_rule(self):
@@ -200,10 +204,15 @@ class TestEnsemble:
         ens = EnsemblePredictor([const0, const1])
         ens.reset()
         ens.observe(0)
-        before = (ens.alive(), ens.snapshot(), ens.predict())
-        with pytest.raises(InconsistentObservation):
-            ens.observe(1)
-        assert (ens.alive(), ens.snapshot(), ens.predict()) == before
+        # next_counts tests a bit without observing it
+        before = ens.snapshot()
+        assert ens.next_counts(before, 1) == (0, 0)
+        assert (ens.alive(), ens.snapshot()) == ((0,), before)
+        ens.observe(1)
+        assert (ens.alive(), ens.snapshot(), ens.predict()) == ((), (0, 0), 0)
+        with pytest.raises(InconsistentObservation,
+                           match="^observed prefix is impossible for every machine in the ensemble$"):
+            trace_predictor(const1, EnsemblePredictor([const0]), "0")
 
     def test_aggregate_tie_predicts_zero(self):
         # brute-force hunt for a cross-machine tie reached along a real prefix
@@ -215,16 +224,13 @@ class TestEnsemble:
             ens = EnsemblePredictor([a, b])
             ens.reset()
             g = rng.randrange(1 << 4)
-            observed = oracles.simulate(a, g, 4)[0]
-            try:
-                for bit in observed:
-                    p, q = ens.pending_counts()
-                    if p == q and p > 0:
-                        assert ens.predict() == 0
-                        found += 1
-                    ens.observe(bit)
-            except InconsistentObservation:
-                continue
+            observed = oracles.simulate(a, g, 4)[0]  # a produces it, so the ensemble lives
+            for bit in observed:
+                p, q = ens.pending_counts()
+                if p == q and p > 0:
+                    assert ens.predict() == 0
+                    found += 1
+                ens.observe(bit)
         assert found > 0
 
 
@@ -267,6 +273,32 @@ class TestTraces:
         p = AutomatonPredictor(echo)
         for _ in range(2):
             assert list(run_beside(echo, p, [1, 1, 0, 1])) == [(0, 1), (1, 1), (1, 0), (0, 1)]
+
+    @pytest.mark.parametrize("kind", ["consistency", "subclass", "ensemble"])
+    def test_trace_raises_at_the_dying_step(self, const1, kind, caplog):
+        # the model emits 1, then 0 forever: the constant-1 generator's
+        # second bit rules it out, and the trace stops there
+        m = MealyMachine(2, ((1, 1), (1, 1)), ((1, 1), (0, 0)))
+        p = {"consistency": ConsistencyPredictor(m),
+             "subclass": type("Sub", (ConsistencyPredictor,), {})(m),
+             "ensemble": EnsemblePredictor([m])}[kind]
+        trace = trace_predictor(const1, p, "1")
+        assert (trace.predictions, trace.observed, trace.consistent) == ((1,), (1,), True)
+        message = (f"observed bit 1 is impossible for machine {machine_id(m)[:12]} given the prefix so far"
+                   if kind != "ensemble" else "observed prefix is impossible for every machine in the ensemble")
+        with caplog.at_level(logging.DEBUG, logger="mealypred"), \
+                pytest.raises(InconsistentObservation) as refused:
+            trace_predictor(const1, p, "1111")
+        assert str(refused.value) == message
+        # one "ruled out" line: nothing is observed past the dying step
+        assert [r.getMessage() for r in caplog.records] == [f"{p.label}: model ruled out by observation"] + (
+            [f"ensemble: candidate 0 (consistency:{machine_id(m)[:12]}) eliminated"] if kind == "ensemble" else [])
+
+    def test_foreign_consistent_attribute_is_only_reported(self, const1):
+        # a predictor outside the consistency family is never refused
+        foreign = type("Foreign", (ConstantPredictor,), {"consistent": False})(0)
+        trace = trace_predictor(const1, foreign, "11")
+        assert (trace.total_errors, trace.consistent) == (2, False)
 
     def test_reset_restores_initial_knowledge(self, alt_ring):
         p = ConsistencyPredictor(alt_ring)
