@@ -132,7 +132,6 @@ def _build_predictor(kind, machine, predictor_machine, candidates):
         if not candidates:
             raise ValueError("--predictor ensemble requires --candidates")
         return EnsemblePredictor(candidates)
-    raise ValueError(f"unknown predictor {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -417,13 +416,11 @@ def _stream_enumeration(config: dict, out: str | None):
     """Human ``enumerate``: one machine per blank-line separated record, or
     the bare count, without a report wrapper."""
     k, mode, cap = config["k"], config["mode"], config.get("cap_k")
+    # counted or checked before the sink opens, so a refusal leaves --out as it was
+    records = ([f"{count_machines(k, mode, cap=cap)}\n"] if config["count_only"]
+               else (serialize_machine(m) + "\n" for m in enumerate_machines(k, mode, cap=cap)))
     with _sink(out) as sink:
-        if config["count_only"]:
-            sink.write(f"{count_machines(k, mode, cap=cap)}\n")
-        else:
-            for machine in enumerate_machines(k, mode, cap=cap):
-                sink.write(serialize_machine(machine))
-                sink.write("\n")
+        sink.writelines(records)
 
 
 # ---------------------------------------------------------------------------

@@ -125,7 +125,7 @@ def machine_tables(
     *,
     cap: int | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield the k-state machines as ``(next, out)`` tables of shape ``(n, k, 2)``.
+    """The k-state machines as ``(next, out)`` tables of shape ``(n, k, 2)``, an iterator.
 
     Row i of the raw list holds the base-2k digits of i, one slot code
     ``2 * next + out`` per (state, input) slot, so rows come in serialization
@@ -133,7 +133,8 @@ def machine_tables(
     the trailing ones, at most ``CHUNK_ROWS`` rows. ``mode`` is ``raw``;
     ``canonical`` for the rows that are least among their relabelings; or
     ``strongly_connected`` for the canonical rows whose transition digraph is
-    strongly connected. ``cap`` bounds ``k``, :func:`default_k_cap` unless given.
+    strongly connected. ``cap`` bounds ``k``, :func:`default_k_cap` unless
+    given; the arguments are checked at the call, not at the first chunk.
     """
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
@@ -146,21 +147,24 @@ def machine_tables(
             f"enumeration of {k}-state machines in {mode.replace('_', '-')} mode "
             f"exceeds the cap of {cap} (roughly {rough} raw machines)"
         )
-    base, width = 2 * k, 2 * k
-    trailing = 1
-    while trailing < width and base ** (trailing + 1) <= CHUNK_ROWS:
-        trailing += 1
-    tail = np.indices((base,) * trailing, dtype=np.uint8).reshape(trailing, -1).T
-    entries = _relabelings(k)[1:] if mode != "raw" else []  # the first is the identity
-    relabelings = [(np.array(columns), np.frombuffer(rename, np.uint8)) for columns, rename in entries]
-    for lead in product(range(base), repeat=width - trailing):
-        slots = np.hstack([np.full((len(tail), len(lead)), lead, dtype=np.uint8), tail])
-        for columns, rename in relabelings:
-            slots = slots[_keys(rename[slots[:, columns]]) >= _keys(slots)]
-        if mode == "strongly_connected":
-            slots = slots[_strongly_connected(slots.reshape(-1, k, 2) >> 1)]
-        slots = slots.astype(np.intp)
-        yield (slots >> 1).reshape(-1, k, 2), (slots & 1).reshape(-1, k, 2)
+
+    def chunks():
+        base, width = 2 * k, 2 * k
+        trailing = 1
+        while trailing < width and base ** (trailing + 1) <= CHUNK_ROWS:
+            trailing += 1
+        tail = np.indices((base,) * trailing, dtype=np.uint8).reshape(trailing, -1).T
+        entries = _relabelings(k)[1:] if mode != "raw" else []  # the first is the identity
+        relabelings = [(np.array(columns), np.frombuffer(rename, np.uint8)) for columns, rename in entries]
+        for lead in product(range(base), repeat=width - trailing):
+            slots = np.hstack([np.full((len(tail), len(lead)), lead, dtype=np.uint8), tail])
+            for columns, rename in relabelings:
+                slots = slots[_keys(rename[slots[:, columns]]) >= _keys(slots)]
+            if mode == "strongly_connected":
+                slots = slots[_strongly_connected(slots.reshape(-1, k, 2) >> 1)]
+            slots = slots.astype(np.intp)
+            yield (slots >> 1).reshape(-1, k, 2), (slots & 1).reshape(-1, k, 2)
+    return chunks()
 
 
 def enumerate_machines(
@@ -169,7 +173,7 @@ def enumerate_machines(
     *,
     cap: int | None = None,
 ) -> Iterator[MealyMachine]:
-    """Yield every k-state machine once, in serialization order.
+    """Every k-state machine once, in serialization order, as an iterator.
 
     ``raw`` yields all (2k)**(2k) machines; ``canonical`` one representative
     per relabeling class; ``strongly_connected`` the canonical machines whose
@@ -177,10 +181,10 @@ def enumerate_machines(
     The ordering is pure integer comparison, identical on every platform.
     Predictor search scores the same :func:`machine_tables` chunks and breaks
     score ties toward the least serialization by a stable sort in this order.
+    Like :func:`machine_tables`, it checks its arguments when called.
     """
-    for nxt, out in machine_tables(k, mode, cap=cap):
-        for trans, outs in zip(nxt.tolist(), out.tolist()):
-            yield MealyMachine(k, trans, outs, 0)
+    return (MealyMachine(k, trans, outs, 0) for nxt, out in machine_tables(k, mode, cap=cap)
+            for trans, outs in zip(nxt.tolist(), out.tolist()))
 
 
 def count_machines(k: int, mode: str = "raw", *, cap: int | None = None) -> int:

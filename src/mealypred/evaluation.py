@@ -16,8 +16,8 @@ Any other predictor is driven through ``snapshot``/``restore``, which every
 predictor has, so there is no fallback path.
 
 An item is a (node, generator state) pair. When a consistency or ensemble
-predictor holds the generator itself as its machine or a candidate, and the
-walk starts from its reset counts, an item is the node alone: that block of
+predictor holds the generator itself as a member, exhaustive evaluation
+walks from its reset counts, and an item is the node alone: that block of
 its counts is the generator's own forward vector, so the sequences reaching
 a node split over the generator's states in proportion to it, and the
 node's pairs are exactly lumpable (Kemeny and Snell). A walk whose frontier
@@ -245,9 +245,9 @@ class _Nodes:
 
     A node item counts input sequences per unit of its block's counts, which
     split the sequences reaching the node over the generator's states. Its
-    misses per unit are the block's counts times the inputs emitting the bit
-    it does not guess, and its edge on an emitted bit weighs the gcd divided
-    out of the child.
+    misses per unit are the block's counts times the inputs of the
+    generator's output table emitting the bit it does not guess, and its edge
+    on an emitted bit weighs the gcd divided out of the child.
     """
 
     def __init__(self, machine: MealyMachine, predictor: Predictor, block: tuple[int, int] | None = None):
@@ -256,9 +256,8 @@ class _Nodes:
         self.counting = type(predictor) in _COUNTING
         self.blind = type(predictor).inform_state is Predictor.inform_state
         if block:
-            # per bit, per state of the predictor's machine: the inputs of the block emitting it
-            self.emits = tuple(tuple(d if block[0] <= i < block[1] else 0 for i, d in enumerate(deg))
-                               for deg in predictor._deg)
+            # per observed bit, per generator state: the inputs emitting it
+            self.emits = tuple(tuple(row.count(o) for row in self.out) for o in (0, 1))
         # snapshot -> node; per node its snapshot; at 2 * node + observed bit
         # its child and the gcd divided out of it; per blind node its guess;
         # per expanded item its step: its misses per unit count, then per
@@ -296,8 +295,8 @@ class _Nodes:
         """Store and return the step of ``item``."""
         if self.block:
             key = self.keys[item]
-            guess = self.predictor.guess(key)
-            reach = [sum(map(operator.mul, key, e)) for e in self.emits]
+            guess, (a, b) = self.predictor.guess(key), self.block
+            reach = [sum(map(operator.mul, key[a:b], e)) for e in self.emits]
             ends = [(*self.child(item, o), guess != o) for o in (0, 1) if reach[o]]
             if len(ends) == 1:
                 ends.append((ends[0][0], 0, ends[0][2]))
@@ -321,34 +320,20 @@ class _Nodes:
         return step
 
 
-def _modelled_block(machine: MealyMachine, predictor: Predictor, start: dict[int, int]) -> tuple[int, int] | None:
-    """For a walk from the initial state alone, the block of a counting
-    predictor's states, as (first, end), that is the generator and holds its
-    reset counts; else None."""
-    if type(predictor) not in _COUNTING or start != {machine.initial_state: 1}:
-        return None
-    snap, k = predictor.snapshot(), machine.num_states
-    members = getattr(predictor, "_members", (predictor.machine,))
-    blocks = getattr(predictor, "_blocks", ((0, k),))
-    return next(((a, b) for m, (a, b) in zip(members, blocks)
-                 if m == machine and snap[a + m.initial_state] == sum(snap[a:b]) == 1), None)
-
-
-def _frontier_totals(machine: MealyMachine, predictor: Predictor, t: int, start: dict[int, int], per_step: bool = False) -> tuple[int, int, list[int] | None]:
+def _frontier_totals(machine: MealyMachine, predictor: Predictor, t: int, start: dict[int, int], per_step: bool = False, block: tuple[int, int] | None = None) -> tuple[int, int, list[int] | None]:
     """Exact error totals by one depth-by-depth pass with merged predictor states.
 
     Two dicts map each item of the frontier (see :class:`_Nodes`) to its
     number of input sequences and its most errors so far. It starts at the
     predictor's current snapshot with ``start`` giving the sequence counts per
-    state; the items are nodes alone where :func:`_modelled_block` finds the
-    generator among the predictor's machines. The counts are the engine's own
-    (a node's key rescales only the predictor's), so they stay exact. An
-    error at depth ``d`` stands for ``2**(t - d - 1)`` completions, so the
-    total is summed by Horner's rule; per-depth totals are kept only for
-    ``per_step``. A frontier of more than ``FRONTIER_BUDGET`` items is
-    refused.
+    state; the items are nodes alone where ``block``, (first, end) states of
+    a counting predictor, holds the generator's forward vector. The counts
+    are the engine's own (a node's key rescales only the predictor's), so
+    they stay exact. An error at depth ``d`` stands for ``2**(t - d - 1)``
+    completions, so the total is summed by Horner's rule; per-depth totals
+    are kept only for ``per_step``. A frontier of more than
+    ``FRONTIER_BUDGET`` items is refused.
     """
-    block = _modelled_block(machine, predictor, start)
     nodes = _Nodes(machine, predictor, block)
     steps = nodes.steps
     items, short = ("nodes", "nodes") if block else ("(node, state) pairs", "pairs")
@@ -415,10 +400,11 @@ def evaluate_exhaustive(
 ) -> ErrorReport:
     """Exact average and worst-case error over all ``2**t`` input sequences.
 
-    The predictor starts every sequence from its reset state. Horizons above
-    ``cap`` are refused; raise the cap deliberately or use
-    :func:`evaluate_monte_carlo`. So is a walk whose frontier outgrows
-    ``FRONTIER_BUDGET`` items at some depth.
+    The predictor starts every sequence from its reset state, so a counting
+    predictor's member equal to the generator holds its forward vector, and
+    the walk runs over nodes alone. Horizons above ``cap`` are refused (raise
+    it deliberately or use :func:`evaluate_monte_carlo`), and so is a walk
+    whose frontier outgrows ``FRONTIER_BUDGET`` items at some depth.
     """
     if t < 1:
         raise ValueError("horizon must be at least 1")
@@ -429,7 +415,9 @@ def evaluate_exhaustive(
         )
     _check_informed(machine, predictor)
     predictor.reset()
-    total, wc, step = _frontier_totals(machine, predictor, t, {machine.initial_state: 1}, per_step)
+    members = zip(predictor.members, predictor.blocks) if type(predictor) in _COUNTING else ()
+    block = next((ab for m, ab in members if m == machine), None)
+    total, wc, step = _frontier_totals(machine, predictor, t, {machine.initial_state: 1}, per_step, block)
     n = 1 << t
     return ErrorReport(
         machine_id=machine_id(machine),
@@ -464,6 +452,9 @@ def evaluate_monte_carlo(
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     _check_informed(machine, predictor)
+    if samples * t > np.iinfo(np.intp).max:
+        raise MemoryError(f"{samples} samples of {t} steps are more bits than one array can "
+                          f"index ({np.iinfo(np.intp).max})")
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=(samples, t), dtype=np.uint8)
     predictor.reset()

@@ -128,6 +128,8 @@ class ConsistencyPredictor(Predictor):
         )
         self._deg = tuple(tuple(map(len, rows)) for rows in self._succ)
         self._start = tuple(int(s == machine.initial_state) for s in range(machine.num_states))
+        # the machines counted and, per machine, its (first, end) states in the vector
+        self.members, self.blocks = (machine,), ((0, machine.num_states),)
         self.reset()
 
     @property
@@ -169,8 +171,9 @@ class ConsistencyPredictor(Predictor):
     def observe(self, bit: int):
         if bit not in (0, 1):
             raise ValueError(f"invalid bit {bit!r}")
-        self._counts = self.next_counts(self._counts, bit)
-        if log.isEnabledFor(logging.DEBUG) and not any(self._counts):  # the label hashes the machine
+        before, self._counts = self._counts, self.next_counts(self._counts, bit)
+        # logged once, by the observation that empties the vector; the label hashes the machine
+        if log.isEnabledFor(logging.DEBUG) and any(before) and not any(self._counts):
             log.debug("%s: model ruled out by observation", self.label)
 
     def _impossible(self, bit: int) -> str:
@@ -207,18 +210,17 @@ class EnsemblePredictor(ConsistencyPredictor):
             tuple(row for m in machines for row in m.output),
         )
         super().__init__(union)
-        self._members = tuple(machines)
-        self._blocks = tuple(zip(offsets, ends))
+        self.members, self.blocks = tuple(machines), tuple(zip(offsets, ends))
         self._start = tuple(int(s == m.initial_state) for m in machines for s in range(m.num_states))
         self.reset()
 
     @property
     def label(self) -> str:
-        return f"ensemble-{len(self._members)}"
+        return f"ensemble-{len(self.members)}"
 
     def pair_counts(self) -> tuple[int, ...]:
         """Per candidate, the input sequences that produce the observed prefix."""
-        return tuple(sum(self._counts[a:b]) for a, b in self._blocks)
+        return tuple(sum(self._counts[a:b]) for a, b in self.blocks)
 
     def alive(self) -> tuple[int, ...]:
         """Indices of the candidates that can still produce the observed prefix."""
@@ -231,7 +233,7 @@ class EnsemblePredictor(ConsistencyPredictor):
         for i in before:
             if i not in now:
                 log.debug("ensemble: candidate %d (consistency:%s) eliminated",
-                          i, machine_id(self._members[i])[:12])
+                          i, machine_id(self.members[i])[:12])
 
     def _impossible(self, bit: int) -> str:
         return "observed prefix is impossible for every machine in the ensemble"

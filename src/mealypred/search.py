@@ -138,6 +138,7 @@ def search_after_training(
             "no target machine can produce the training sequence"
         )
     k, t, g = num_states, continuation, len(start)
+    tables = machine_tables(k, "canonical")  # checks k before any array is sized by it
     # A value is at most t * 2**t and a total at most sum(start) times that;
     # each is held in int64 while its bound fits and in Python integers past it.
     dtype = np.int64 if t << t < 1 << 63 else object
@@ -151,7 +152,6 @@ def search_after_training(
     board_next = board_out = np.zeros((0, k, 2), dtype=np.intp)
     # rows scored at once: the values of a batch take at most 2k * 2**17 cells
     batch = max(1, (CHUNK_ROWS << 4) // g)
-    tables = machine_tables(k, "canonical")
     pieces = ((nxt[i:i + batch], out[i:i + batch]) for nxt, out in tables
               for i in range(0, len(nxt), batch))
     space = batches = 0

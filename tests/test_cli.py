@@ -234,6 +234,38 @@ class TestExitCodes:
         assert (result.exit_code, result.stdout) == (3, ""), result.output
         assert result.stderr.startswith("refused: ") and result.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("source", ["argv", "replay"])
+    @pytest.mark.parametrize("k, code, line", [
+        (2**64, 3, "refused: enumeration of 18446744073709551616-state machines in canonical "
+                   "mode exceeds the cap of 4 (roughly 10^7.22e+20 raw machines)"),
+        (-1, 2, "error: state count must be positive"),
+    ], ids=["huge", "negative"])
+    def test_search_state_count_checked_first(self, runner, files, tmp_path, source, k, code, line):
+        # the state count is checked before the leaderboard arrays are sized by it
+        config = {"command": "search", "targets": [files["const0"]], "k": k, "t": 10, "top_n": 10,
+                  "cap_t": 24}
+        if source == "argv":
+            args = _fuzz_argv(config)
+        else:
+            path = tmp_path / "search.json"
+            path.write_text(json.dumps(config))
+            args = ["replay", str(path)]
+        result = runner.invoke(main, args)
+        assert (result.exit_code, result.stdout) == (code, ""), result.output
+        assert result.stderr.splitlines() == [line]
+
+    @pytest.mark.parametrize("samples, t", [(2**64, 5), (2, 2**64), (2**62, 4)])
+    def test_monte_carlo_too_large_to_index_refused(self, runner, files, samples, t):
+        # more bits than one array can index: refused before numpy is asked
+        args = ["evaluate", "-m", files["const0"], "--method", "monte-carlo",
+                "--samples", str(samples), "-t", str(t)]
+        result = runner.invoke(main, args)
+        assert (result.exit_code, result.stdout) == (3, ""), result.output
+        assert result.stderr.splitlines() == [
+            f"refused: {samples} samples of {t} steps are more bits than one array can "
+            f"index ({np.iinfo(np.intp).max})"
+        ]
+
     def test_inconsistent_training(self, runner, files):
         result = runner.invoke(
             main,
@@ -292,6 +324,19 @@ class TestPredictorOptions:
         assert result.exit_code == 2, result.output
         assert message in result.output
         assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    @pytest.mark.parametrize("options, line", [
+        (["known-state", "--predictor-machine", "{altring}"],
+         "error: known-state prediction is tied to the generator machine"),
+        (["automaton"], "error: --predictor automaton requires --predictor-machine"),
+    ], ids=["known-state-other", "automaton-alone"])
+    def test_predictor_machine_refused(self, runner, files, command, options, line):
+        args = [command, "-m", files["echo"], "--predictor"] + [a.format(**files) for a in options]
+        args += ["-t", "6"] if command == "evaluate" else ["--input", "0110"]
+        result = runner.invoke(main, args)
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr.splitlines() == [line]
 
     @pytest.mark.parametrize("command", ["evaluate", "predict"])
     @pytest.mark.parametrize("options", [
@@ -366,6 +411,16 @@ class TestEnumerateCmd:
     def test_cap_refusal(self, runner):
         result = runner.invoke(main, ["enumerate", "-k", "6", "--count-only"])
         assert result.exit_code == 3
+
+    @pytest.mark.parametrize("count_only", [[], ["--count-only"]], ids=["records", "count"])
+    def test_cap_refusal_leaves_out_file_intact(self, runner, tmp_path, count_only):
+        # the enumeration is refused before the file is opened for writing
+        path = tmp_path / "kept.txt"
+        path.write_bytes(b"kept\n")
+        result = runner.invoke(main, ["enumerate", "-k", "9", "--out", str(path)] + count_only)
+        assert (result.exit_code, result.stdout) == (3, "")
+        assert result.stderr.startswith("refused: enumeration of 9-state machines")
+        assert path.read_bytes() == b"kept\n"
 
     def test_cap_refusal_names_the_mode(self, runner):
         result = runner.invoke(main, ["enumerate", "-k", "5", "--mode", "strongly-connected"])
@@ -566,6 +621,21 @@ class TestReproducibility:
         assert result.exit_code == 2
         assert f"error: {path}: not a JSON object" in result.output
 
+    @pytest.mark.parametrize("text, problem", [
+        ('{"command": "replay"}', "not a replayable config"),
+        ('{"command": 3}', "not a replayable config"),
+        ("mealy 1", "Expecting value: line 1 column 1 (char 0)"),
+        ('{"command": "evaluate", "machine": "-", "predictor": "bogus", "t": 2}',
+         "unknown predictor 'bogus'; expected one of ('consistency', 'known-state', "
+         "'always-0', 'always-1', 'automaton', 'ensemble')"),
+    ], ids=["replay", "not-a-name", "not-json", "unknown-predictor"])
+    def test_replay_refusal_line(self, runner, tmp_path, text, problem):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        result = runner.invoke(main, ["replay", str(path)])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr.splitlines() == [f"error: {path}: {problem}"]
+
     def test_replay_unknown_method_is_usage_error(self, runner, files, tmp_path):
         report = run_json(runner, ["evaluate", "-m", files["echo"], "-t", "10"])
         report["config"]["method"] = "x"
@@ -589,6 +659,16 @@ class TestReproducibility:
             "mealypred.search: 256 candidates scored, batches: 1"
         ]
         assert not logging.getLogger("mealypred").handlers
+
+    def test_verbose_logs_a_models_death_once(self, runner, files):
+        # consistency:const1 dies on the first training bit and is shown six more
+        args = ["-v", "batch-select", "--candidates", files["const0"], "--candidates",
+                files["const1"], "--training", "0000000", "--horizon", "9"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert [line for line in result.stderr.splitlines() if "ruled out" in line] == [
+            "mealypred.predictors: consistency:784f9a060594: model ruled out by observation"
+        ]
 
     @staticmethod
     def _exact_walk_line(runner, tmp_path, args):

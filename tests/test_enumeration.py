@@ -57,6 +57,16 @@ class TestCounts:
         with pytest.raises(CapExceeded):
             list(enumerate_machines(5, "strongly_connected"))
 
+    @pytest.mark.parametrize("k, mode, error", [
+        (9, "canonical", CapExceeded), (2**64, "raw", CapExceeded), (-1, "raw", ValueError),
+        (0, "canonical", ValueError), (2, "bogus", ValueError),
+    ])
+    def test_arguments_checked_at_the_call(self, k, mode, error):
+        # not at the first chunk: a caller can size nothing by k before it is checked
+        for listing in (machine_tables, enumerate_machines):
+            with pytest.raises(error):
+                listing(k, mode)
+
     def test_unknown_mode_lists_the_three(self):
         for listing in (machine_tables, enumerate_machines):
             with pytest.raises(ValueError, match="'raw', 'canonical', 'strongly_connected'"):

@@ -605,6 +605,25 @@ class TestMonteCarlo:
         assert evaluate_exhaustive(target, p, 6).e_ave == 1
         assert evaluate_monte_carlo(target, p, 6, 10).e_ave == 1.0
 
+    @pytest.mark.parametrize("base, model", [
+        (ConsistencyPredictor, constant_machine(0)),
+        (EnsemblePredictor, [constant_machine(0)]),
+    ])
+    def test_subclass_logs_its_death_once_per_sample(self, base, model, caplog):
+        # the online protocol resets the predictor per sample; its model dies
+        # on each sample's first bit and is shown five more
+        caplog.set_level("DEBUG", logger="mealypred.predictors")
+        p = type("Sub", (base,), {})(model)
+        evaluate_monte_carlo(constant_machine(1), p, 6, 4, seed=3)
+        ruled_out = [r for r in caplog.records if r.getMessage().endswith("model ruled out by observation")]
+        assert len(ruled_out) == 4
+
+    @pytest.mark.parametrize("samples, t", [(2**64, 5), (2, 2**64), (2**62, 4)])
+    def test_too_many_bits_to_index_refused(self, echo, samples, t):
+        with pytest.raises(MemoryError, match=f"^{samples} samples of {t} steps .* index "
+                                              f"\\({np.iinfo(np.intp).max}\\)$"):
+            evaluate_monte_carlo(echo, ConsistencyPredictor(echo), t, samples)
+
 
 class TestPredictorMachineError:
     def test_constant_predictor_on_opposite_machine(self, const1):

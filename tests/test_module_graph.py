@@ -74,3 +74,45 @@ def test_oracles_import_nothing_from_the_package():
     imported += ["." * node.level + (node.module or "") for node in ast.walk(tree)
                  if isinstance(node, ast.ImportFrom)]
     assert [name for name in imported if name.split(".")[0] in ("mealypred", "")] == []
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _defined(tree):
+    """Every name ``tree`` binds: defs, classes, arguments, imports, assigned
+    names and assigned attributes (``self._x = ...``)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+    return names
+
+
+def _private_reads(tree):
+    """(line, name) of every ``obj._name`` and ``getattr(obj, "_name", ...)``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr):
+            yield node.lineno, node.attr
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("getattr", "hasattr") and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant) and isinstance(node.args[1].value, str)
+              and _private(node.args[1].value)):
+            yield node.lineno, node.args[1].value
+
+
+def test_no_module_reads_another_modules_private_attributes():
+    # a private attribute is read only where it is defined, so one module
+    # never depends on another's internals
+    foreign = [f"{name}.py:{line}: {attr}" for name, tree in SOURCES.items()
+               for line, attr in _private_reads(tree) if attr not in _defined(tree)]
+    assert foreign == []
