@@ -5,13 +5,14 @@ it through a shared dispatcher, and embeds the resolved config in the report,
 so any report can be re-run bit-for-bit with ``mealypred replay``. Each config
 field is declared once, in ``_FIELDS``: its key, option spellings, JSON type,
 default per command, and the default cap past which it needs
-``--i-know-this-is-big``. The argparse parsers (built once per process),
-replay's type checks and the cap checks of every command and of replay all
-come from that table. Structured output is JSON with stable field order;
-exact rationals appear as "num/den" strings. Presentation details (output
-format, timestamps) are not part of the config. ``evaluate``, ``search`` and
-``replay`` accept ``--workers`` for compatibility and ignore it: every command
-runs in one process. ``-v`` before the subcommand sends the package's debug
+``--i-know-this-is-big``. The command-line parser and ``--help``, replay's
+type checks and the cap checks of every command and of replay all come from
+that table; ``_PRESENTATION`` declares the options outside the config
+(output format and file, timestamps, ``--workers``, the cap acknowledgment).
+Structured output is JSON with stable field order; exact rationals appear as
+"num/den" strings. ``evaluate``, ``search`` and ``replay`` accept
+``--workers`` for compatibility and ignore it: every command runs in one
+process. ``-v`` before the subcommand sends the package's debug
 log to stderr; reports do not change.
 
 Exit codes: 0 success, 2 usage, parse, file or output error, 3 cap refusal
@@ -21,7 +22,6 @@ machine. :func:`_run` maps failures to them for every subcommand.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import datetime
 import functools
@@ -434,11 +434,12 @@ def _on(*commands: str, default=_REQUIRED) -> dict:
 
 
 class _Field(NamedTuple):
-    """One config field. ``defaults`` maps each command that writes the field
-    to its default; a default of False makes the option a flag. ``choices``
-    maps an option value to its config value. A field enters the config when
-    ``keep(config so far, value)`` holds. ``cap(config)`` is the default cap
-    a value may exceed only with ``--i-know-this-is-big``."""
+    """One config field, or in ``_PRESENTATION`` an option outside the config.
+    ``defaults`` maps each command that takes the option to its default; a
+    default of False makes the option a flag. ``choices`` maps an option value
+    to its config value. A field enters the config when ``keep(config so far,
+    value)`` holds. ``cap(config)`` is the default cap a value may exceed only
+    with ``--i-know-this-is-big``."""
 
     key: str
     flags: tuple[str, ...]
@@ -511,15 +512,27 @@ _FIELDS = (
 _JSON_TYPES = {int: "an integer", str: "a string", bool: "a boolean", list: "a list of strings"}
 
 _CAPPED = {c for f in _FIELDS if f.cap for c in f.defaults} | {"replay"}
-_IGNORE_WORKERS = ("evaluate", "search", "replay")
+
+# The options that are not part of the config.
+_PRESENTATION = (
+    _Field("big_ok", ("--i-know-this-is-big",), bool, _on(*_CAPPED, default=False),
+           "Allow caps past their defaults."),
+    _Field("workers", ("--workers",), int, _on("evaluate", "search", "replay", default=1),
+           "Accepted for compatibility; ignored, every command runs in one process."),
+    _Field("fmt", ("--format",), str, _on(*_COMMANDS, default="human"), "Report format.",
+           choices=dict(human="human", json="json")),
+    _Field("out", ("--out",), str, _on(*_COMMANDS, default=None), "Write the report to a file."),
+    _Field("timestamps", ("--timestamps",), bool, _on(*_COMMANDS, default=False),
+           "Include a timestamp in human output."),
+)
 
 
-def _config(command: str, args: argparse.Namespace) -> dict:
+def _config(command: str, options: dict) -> dict:
     """The config of a parsed command line."""
     config = {"command": command}
     for f in _FIELDS:
         if command in f.defaults:
-            value = getattr(args, f.key)
+            value = options[f.key]
             if f.choices is not None:
                 value = f.choices[value]
             elif f.bits and value is not None:
@@ -574,46 +587,90 @@ def _replayed(path: str) -> dict:
 
 
 @functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    parser = argparse.ArgumentParser(
-        prog="mealypred", allow_abbrev=False,
-        description="Study prediction of bit sequences generated by finite-state machines.",
-    )
-    parser.add_argument("--version", action="version", version=f"mealypred, version {__version__}")
-    parser.add_argument("-v", "--verbose", action="store_true",
-                        help="Log debug messages (search and exact-walk counters among them) to stderr.")
-    commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for command, (doc, _) in _COMMANDS.items():
-        sub = commands.add_parser(command, help=doc, description=doc, allow_abbrev=False)
-        if command == "replay":
-            sub.add_argument("config_file", help="A config or a report ('-' for stdin).")
-        for f in _FIELDS:
-            if command not in f.defaults:
-                continue
+def _grammar(command: str) -> tuple[list[_Field], dict[str, _Field], dict]:
+    """The fields ``command`` takes, each one by its option spellings, and their defaults by key."""
+    fields = [f for f in _FIELDS + _PRESENTATION if command in f.defaults]
+    spellings = {flag: f for f in fields for flag in f.flags}
+    return fields, spellings, {f.key: f.defaults[command] for f in fields}
+
+
+def _help(command: str | None) -> str:
+    """The ``--help`` text of ``command``, or of mealypred itself: a row per command or option."""
+    if command is None:
+        usage = "[-h] [--version] [-v] COMMAND [options]"
+        doc = "Study prediction of bit sequences generated by finite-state machines."
+        rows = [(name, text) for name, (text, _) in _COMMANDS.items()] + [
+            ("--version", "Show the version."),
+            ("-v, --verbose", "Log debug messages (search and exact-walk counters among them) to stderr.")]
+    else:
+        usage, doc = f"{command} [options]" + " CONFIG_FILE" * (command == "replay"), _COMMANDS[command][0]
+        rows = [("CONFIG_FILE", "A config or a report ('-' for stdin).")] * (command == "replay")
+        for f in _grammar(command)[0]:
             default = f.defaults[command]
-            shown = f" (default: {default})" if type(default) in (int, str) else ""
-            if default is False:
-                sub.add_argument(*f.flags, dest=f.key, action="store_true", help=f.help)
-                continue
-            sub.add_argument(*f.flags, dest=f.key, help=f.help + shown,
-                             action="append" if f.type is list else "store",
-                             type=int if f.type is int else None,
-                             choices=f.choices and tuple(f.choices),
-                             required=default is _REQUIRED,
-                             default=None if default is _REQUIRED else default)
-        if command in _CAPPED:
-            sub.add_argument("--i-know-this-is-big", dest="big_ok", action="store_true",
-                             help="Allow caps past their defaults.")
-        if command in _IGNORE_WORKERS:
-            sub.add_argument("--workers", type=int, default=1,
-                             help="Accepted for compatibility; ignored, every command runs "
-                                  "in one process.")
-        sub.add_argument("--format", dest="fmt", choices=("human", "json"), default="human",
-                         help="Report format (default: human).")
-        sub.add_argument("--out", help="Write the report to a file.")
-        sub.add_argument("--timestamps", action="store_true",
-                         help="Include a timestamp in human output.")
-    return parser, commands.choices
+            value = "" if default is False else f" {{{','.join(f.choices)}}}" if f.choices else f" {f.key.upper()}"
+            shown = ("(required)" if default is _REQUIRED
+                     else f"(default: {default})" if type(default) in (int, str) else "")
+            rows.append((", ".join(f.flags) + value, f"{f.help} {shown}".strip()))
+    rows.append(("-h, --help", "Show this message."))
+    return "\n".join([f"usage: mealypred {usage}", "", doc, ""]
+                     + [f"  {name:<26}  {text}" for name, text in rows])
+
+
+class _Stop(Exception):
+    """Ends a command line before it runs: ``(text, exit code)``, help or the
+    version with 0, a usage error with 2."""
+
+
+def _usage(command: str | None, message: str) -> _Stop:
+    return _Stop(f"mealypred{' ' + command if command else ''}: error: {message}", EXIT_USAGE)
+
+
+def _parse(argv: list[str]) -> tuple[str, bool, dict]:
+    """The command of a command line, whether ``-v`` came before it, and its
+    option values by field key, defaults filled in; replay's file is
+    ``config_file``. An option's value is the next token, even one starting
+    with '-', or for a long spelling ``--opt=VALUE``. A repeated option keeps
+    its last value, a list option appends."""
+    at = next((i for i, token in enumerate(argv) if token not in ("-v", "--verbose")), len(argv))
+    command = argv[at] if at < len(argv) else None
+    if command in ("-h", "--help", "--version"):
+        raise _Stop(f"mealypred, version {__version__}" if command == "--version" else _help(None), 0)
+    if command not in _COMMANDS:
+        raise _usage(None, f"invalid command {command!r} (choose from {', '.join(_COMMANDS)})" if command
+                     else "the following arguments are required: COMMAND")
+    fields, spellings, options = _grammar(command)
+    options, args, tokens = dict(options), [], iter(argv[at + 1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            raise _Stop(_help(command), 0)
+        name, eq, value = token.partition("=") if token.startswith("--") else (token, "", "")
+        f = spellings.get(name)
+        if f is None or eq and f.defaults[command] is False:  # unknown, or a flag given a value
+            if token.startswith("-") and token != "-":
+                raise _usage(command, f"unrecognized option {token!r}")
+            args.append(token)
+        elif f.defaults[command] is False:
+            options[f.key] = True
+        elif (value := value if eq else next(tokens, None)) is None:
+            raise _usage(command, f"option {name} expects a value")
+        else:
+            try:
+                value = int(value) if f.type is int else value
+            except ValueError:
+                raise _usage(command, f"option {name}: invalid integer {value!r}") from None
+            if f.choices is not None and value not in f.choices:
+                raise _usage(command, f"option {name}: invalid choice {value!r} "
+                                      f"(choose from {', '.join(f.choices)})")
+            listed = type(options[f.key]) is list
+            options[f.key] = [*options[f.key], value] if listed else [value] if f.type is list else value
+    if command == "replay" and args:
+        options["config_file"] = args.pop(0)
+    missing = ["/".join(f.flags) for f in fields if options[f.key] is _REQUIRED]
+    missing += ["CONFIG_FILE"] * (command == "replay" and "config_file" not in options)
+    if args or missing:
+        raise _usage(command, f"unrecognized argument {args[0]!r}" if args
+                     else f"the following arguments are required: {', '.join(missing)}")
+    return command, at > 0, options
 
 
 @contextlib.contextmanager
@@ -632,37 +689,33 @@ def _debug_log():
         logger.setLevel(level)
 
 
-def _dispatch(args: argparse.Namespace) -> None:
-    replayed = args.command == "replay"
-    config = _replayed(args.config_file) if replayed else _config(args.command, args)
-    _check_caps(config, getattr(args, "big_ok", False), args.config_file if replayed else None)
-    if args.command == "enumerate" and args.fmt == "human":
-        _stream_enumeration(config, args.out)
+def _dispatch(command: str, options: dict) -> None:
+    replayed = command == "replay"
+    config = _replayed(options["config_file"]) if replayed else _config(command, options)
+    _check_caps(config, options.get("big_ok", False), options["config_file"] if replayed else None)
+    if command == "enumerate" and options["fmt"] == "human":
+        _stream_enumeration(config, options["out"])
         return
     try:
-        _run_command(config, args.fmt, args.out, args.timestamps)
+        _run_command(config, options["fmt"], options["out"], options["timestamps"])
     except KeyError as e:
         if not replayed:
             raise
-        raise ValueError(f"{args.config_file}: config lacks {e.args[0]!r}") from None
+        raise ValueError(f"{options['config_file']}: config lacks {e.args[0]!r}") from None
 
 
 def _run(argv: list[str]) -> int:
-    """Parse and run one command line; return its exit code. Usage errors,
-    ``--help`` and ``--version`` exit from the parser."""
-    parser, commands = _parser()
-    if argv and argv[0] in commands:
-        # the subparser action's own call, without a first pass over every token
-        start = argparse.Namespace(command=argv[0], verbose=False)
-        args, extra = commands[argv[0]].parse_known_args(argv[1:], start)
-        if extra:
-            parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    else:
-        args = parser.parse_args(argv)
+    """Parse and run one command line; return its exit code. ``--help``,
+    ``--version`` and a usage error print their text and return 0 or 2."""
     try:
-        with _debug_log() if args.verbose else contextlib.nullcontext():
-            _dispatch(args)
+        command, verbose, options = _parse(argv)
+        with _debug_log() if verbose else contextlib.nullcontext():
+            _dispatch(command, options)
             sys.stdout.flush()
+    except _Stop as stop:
+        text, code = stop.args
+        print(text, file=sys.stderr if code else sys.stdout)
+        return code
     except (InconsistentObservation, InconsistentTrainingData) as e:
         print(f"inconsistent data: {e}", file=sys.stderr)
         return EXIT_INCONSISTENT

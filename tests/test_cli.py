@@ -782,6 +782,11 @@ class TestParser:
           "--cap-t=20", "--workers", "4"], None,
          {"machine": "{echo}", "predictor": "known-state", "t": 6, "method": "monte_carlo",
           "cap_t": 20, "per_step": True, "samples": 10, "seed": 3}),
+        # a repeated option keeps its last value
+        (["evaluate", "-m", "{altring}", "-t", "9", "--seed", "1", "--machine={echo}", "-t", "6",
+          "--horizon=5", "--format", "human"], None,
+         {"machine": "{echo}", "predictor": "consistency", "t": 5, "method": "exhaustive",
+          "cap_t": 24, "per_step": False}),
         (["evaluate", "-m", "{echo}", "-t", "4", "--predictor", "automaton",
           "--predictor-machine", "{altring}"], None,
          {"machine": "{echo}", "predictor": "automaton", "t": 4, "method": "exhaustive",
@@ -846,23 +851,58 @@ class TestParser:
         assert result.stderr.startswith(f"error: {path}: unknown {field} {config[field]!r}")
 
     @pytest.mark.parametrize("args, named", [
-        (["analyze", "-m", "{echo}", "--tolerance", "1e-9"], "--tolerance"),
-        (["evaluate", "-m", "{echo}", "--hor", "12"], "--hor"),
+        (["analyze", "-m", "{echo}", "--tolerance", "1e-9"], "'--tolerance'"),
+        # an unknown option is named before the missing -t/--horizon
+        (["evaluate", "-m", "{echo}", "--hor", "12"], "'--hor'"),
+        (["evaluate", "-m", "{echo}", "--hor=12"], "'--hor=12'"),
         (["evaluate", "-m", "{echo}"], "-t/--horizon"),
         (["batch-select", "--training", "0", "--horizon", "3"], "--candidates"),
         (["evaluate", "-m", "{echo}", "-t", "6", "--predictor", "oracle"], "'oracle'"),
         (["evaluate", "-m", "{echo}", "-t", "x"], "'x'"),
-        (["analyze", "-m", "{echo}", "-v"], "-v"),
+        # a value option given last
+        (["evaluate", "-m", "{echo}", "-t"], "option -t expects a value"),
+        (["evaluate", "-m", "{echo}", "-t", "6", "--out"], "option --out expects a value"),
+        # a short spelling takes its value as the next argument only
+        (["evaluate", "-m", "{echo}", "-t12"], "'-t12'"),
+        (["evaluate", "-m", "{echo}", "-t=12"], "'-t=12'"),
+        # -v and --version come before the command
+        (["analyze", "-m", "{echo}", "-v"], "'-v'"),
+        (["evaluate", "-m", "{echo}", "-t", "6", "--version"], "'--version'"),
         (["analyze", "-m", "{echo}", "--format", "yaml"], "'yaml'"),
+        (["evaluate", "-m", "{echo}", "-t", "6", "--per-step=yes"], "'--per-step=yes'"),
+        (["analyze", "-m", "{echo}", "extra"], "'extra'"),
+        (["replay"], "CONFIG_FILE"),
         (["frobnicate"], "'frobnicate'"),
         ([], "COMMAND"),
     ])
     def test_usage_error(self, runner, files, args, named):
+        # one line, naming the command and the argument at fault
         result = runner.invoke(main, [a.format(**files) for a in args])
         assert result.exit_code == 2, result.output
         assert result.stdout == ""
-        assert named in result.stderr
+        prog = " ".join(["mealypred"] + args[:1]) if args[:1] != ["frobnicate"] else "mealypred"
+        [line] = result.stderr.splitlines()
+        assert line.startswith(f"{prog}: error: ")
+        assert named in line
         assert "Traceback" not in result.output
+
+    def test_negative_value_reaches_the_library(self, runner, files):
+        # a value may start with '-': -3 is the horizon, refused by evaluation itself
+        result = runner.invoke(main, ["evaluate", "-m", files["echo"], "-t", "-3"])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr.splitlines() == ["error: horizon must be at least 1"]
+
+    @pytest.mark.parametrize("command", sorted({c for f in _FIELDS for c in f.defaults}))
+    def test_help_lists_every_option(self, runner, command):
+        # one row per field, led by all its spellings, with its default when it has one
+        result = runner.invoke(main, [command, "--help"])
+        assert result.exit_code == 0, result.output
+        rows = result.stdout.splitlines()
+        for f in (f for f in _FIELDS if command in f.defaults):
+            [row] = [r for r in rows if r.startswith(f"  {', '.join(f.flags)} ")]
+            default = f.defaults[command]
+            if type(default) in (int, str):
+                assert row.endswith(f" (default: {default})"), row
 
     @pytest.mark.parametrize("command", [[], ["run"], ["analyze"], ["predict"], ["evaluate"],
                                          ["batch-select"], ["enumerate"], ["search"], ["replay"]])

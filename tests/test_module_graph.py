@@ -3,6 +3,9 @@ names, import each other at module level, and the library modules below the
 drivers import none of them. The tests' oracles import nothing from it."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -116,3 +119,12 @@ def test_no_module_reads_another_modules_private_attributes():
     foreign = [f"{name}.py:{line}: {attr}" for name, tree in SOURCES.items()
                for line, attr in _private_reads(tree) if attr not in _defined(tree)]
     assert foreign == []
+
+
+def test_cli_import_leaves_argparse_out():
+    # command lines are parsed from the CLI's field table alone
+    src = str(Path(mealypred.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, mealypred.cli; assert 'argparse' not in sys.modules, 'argparse imported'"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
