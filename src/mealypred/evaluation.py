@@ -33,20 +33,23 @@ the pool's counts, as its expected continuation error per consistent pair
 (or per machine); search scores its candidates from the same vector.
 
 Monte Carlo estimates sample input sequences and run every built-in
-predictor through a vectorized numpy sweep at any horizon. Consistency and
-ensemble predictors share one count kernel: one column of counts per sample,
-and per step one product with the stacked transition and lean matrices. The
-counts climb a ladder of exact number types. They are float64 while column
-sums stay below 2**52, so every product and partial sum stays below 2**53.
-Past that bound each column is divided by its gcd, which changes no guess;
-columns that still do not fit move to int64, exact below 2**62, and past
-that, after another gcd, to Python integers. The finite-state predictors
-(known-state, automaton, and constant, the one-state automaton) run beside
-the generator as one product machine on input bits, the exact walk's pairs
-expanded to a fixpoint, so each step costs two table lookups. Any other
-predictor, a subclass of a built-in one included, runs the online protocol
-(:func:`~mealypred.predictors.run_beside`) per sample. Each path overwrites
-the sampled bits with its misses, which are summed once.
+predictor through a vectorized numpy sweep at any horizon. The finite-state
+predictors (known-state, automaton, and constant, the one-state automaton)
+run beside the generator as one product machine on input bits, the exact
+walk's pairs expanded to a fixpoint, so each step costs two table lookups.
+Consistency and ensemble predictors try the same product machine first, as
+their gcd-keyed nodes often close in a few pairs; past ``PRODUCT_PAIRS``
+pairs, where they may never close, they give way to one count kernel: one
+column of counts per sample, and per step one product with the stacked
+transition and lean matrices. The counts climb a ladder of exact number
+types. They are float64 while column sums stay below 2**52, so every
+product and partial sum stays below 2**53. Past that bound each column is
+divided by its gcd, which changes no guess; columns that still do not fit
+move to int64, exact below 2**62, and past that, after another gcd, to
+Python integers. Any other predictor, a subclass of a built-in one
+included, runs the online protocol (:func:`~mealypred.predictors.run_beside`)
+per sample. Each path overwrites the sampled bits with its misses, which are
+summed once.
 
 A consistency or ensemble predictor whose machines an observation rules out
 is dead and keeps emitting the tie-rule 0, on every path alike, so
@@ -88,6 +91,7 @@ _FINITE = (KnownStatePredictor, ConstantPredictor, AutomatonPredictor)  # finite
 
 EXHAUSTIVE_T_CAP = 24
 FRONTIER_BUDGET = 1 << 18  # items (nodes or (node, state) pairs) of one depth; a few hundred bytes each
+PRODUCT_PAIRS = 16  # (node, state) pairs a counting predictor's Monte Carlo product machine may expand
 _ECHO = echo_machine()  # emits its input bits, so training bits run beside it unchanged
 
 
@@ -198,16 +202,22 @@ def _sweep_consistency(machine: MealyMachine, predictor: ConsistencyPredictor, b
               n, t, normalised, counts.dtype)
 
 
-def _sweep_product(machine: MealyMachine, predictor: Predictor, bits: np.ndarray) -> None:
-    """Run a finite-state predictor beside the generator over every sample, as
-    one product machine on input bits. Its states are the exact walk's (node,
-    generator state) pairs, expanded to a fixpoint from the predictor's
-    snapshot and the initial state; it ends only for finitely many snapshots."""
+def _sweep_product(machine: MealyMachine, predictor: Predictor, bits: np.ndarray) -> bool:
+    """Run a predictor beside the generator over every sample, as one product
+    machine on input bits. Its states are the exact walk's (node, generator
+    state) pairs, expanded to a fixpoint from the predictor's snapshot and the
+    initial state. The fixpoint ends for finitely many snapshots; a counting
+    predictor may have unboundedly many, so once it has expanded more than
+    ``PRODUCT_PAIRS`` pairs the sweep gives up, leaves ``bits`` untouched and
+    returns False."""
     nodes, todo = _Nodes(machine, predictor), [machine.initial_state]
-    while todo:
+    limit = PRODUCT_PAIRS if nodes.counting else math.inf
+    while todo and len(nodes.steps) <= limit:
         if (at := todo.pop()) not in nodes.steps:
             todo += nodes.expand(at)[1::3]  # the next pair per input bit
     predictor.restore(nodes.root)
+    if len(nodes.steps) > limit:
+        return False
     # Both tables read flat at 2 * pair + input bit, the edge there being
     # 2 * next pair + miss: one index per step and 1-D gathers; 2-D
     # [pair, bit] gathers took 2.5 times as long at t=200 with 10,000 samples.
@@ -223,6 +233,7 @@ def _sweep_product(machine: MealyMachine, predictor: Predictor, bits: np.ndarray
         at = succ[at]
     log.debug("product machine, %d samples, t=%d: %d (node, state) pairs expanded",
               n, t, len(nodes.steps))
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +470,8 @@ def evaluate_monte_carlo(
     bits = rng.integers(0, 2, size=(samples, t), dtype=np.uint8)
     predictor.reset()
     if type(predictor) in _COUNTING:
-        _sweep_consistency(machine, predictor, bits)
+        if not _sweep_product(machine, predictor, bits):
+            _sweep_consistency(machine, predictor, bits)
     elif type(predictor) in _FINITE:
         _sweep_product(machine, predictor, bits)
     else:

@@ -26,7 +26,8 @@ from mealypred import (
     relabel,
     training_pool,
 )
-from mealypred.evaluation import PredictorScore, _Nodes, _sweep_consistency
+from mealypred.automaton import parse_machine
+from mealypred.evaluation import PredictorScore, _Nodes, _sweep_consistency, _sweep_product
 from mealypred.machines import (
     alternating_ring,
     biased_unbiased_ring,
@@ -49,6 +50,33 @@ def _seeded(seed):
 def _seeded_ensemble(seed):
     rng = random.Random(seed)
     return [random_machine(rng.randint(2, 5), rng) for _ in range(3)]
+
+
+def _census_kinds(rng):
+    """Seeded 1-6-state machines of the kinds a census draws: random ones,
+    ones with a deterministic ring reached from state 0, and ones whose
+    unbiased initial state is never re-entered."""
+    for k in range(1, 7):
+        yield random_machine(k, rng)
+        if k == 1:
+            continue
+        base = random_machine(k, rng)
+        trans = [list(row) for row in base.transition]
+        ring = rng.sample(range(k), rng.randint(2, k))
+        for s, nxt in zip(ring, ring[1:] + ring[:1]):
+            trans[s] = [nxt, nxt]
+        if 0 not in ring:
+            trans[0][rng.randrange(2)] = ring[0]
+        yield MealyMachine(k, tuple(map(tuple, trans)), base.output)
+        base = random_machine(k, rng)
+        first = rng.randrange(2)
+        yield MealyMachine(k, tuple(tuple(n or rng.randrange(1, k) for n in row) for row in base.transition),
+                           ((first, 1 - first),) + base.output[1:])
+
+
+# a two-state counter: its consistency counts over itself never repeat up to
+# scale, so its product machine has unboundedly many pairs
+COUNTER = parse_machine("mealy 2\ninitial 0\n0 0 -> 1 0\n0 1 -> 0 1\n1 0 -> 1 1\n1 1 -> 0 1\n")
 
 
 class _FlipFlopPredictor(Predictor):
@@ -477,13 +505,26 @@ class TestMonteCarlo:
         assert fast.e_wc == wc / t
         assert fast.per_step_errors == tuple(c / samples for c in step)
 
+    @staticmethod
+    def _assert_kernel_matches_loop(m, p, t, samples=100, seed=3):
+        """The count kernel alone against the oracle's loop, on the bits
+        Monte Carlo samples for ``seed``."""
+        bits = np.random.default_rng(seed).integers(0, 2, size=(samples, t), dtype=np.uint8)
+        packed = [sum(int(b) << i for i, b in enumerate(row)) for row in bits]
+        p.reset()
+        _sweep_consistency(m, p, bits)
+        total, wc, step = oracles.predictor_totals(m, p, t, packed)
+        assert (int(bits.sum()), int(bits.sum(axis=1).max()), bits.sum(axis=0).tolist()) == (total, wc, step)
+
     def test_generic_and_vector_paths_agree(self):
         # The count kernel and the product sweep against the per-sequence
-        # loop. At t = 70 the kernel's rows reach its int64 bound and are
-        # divided by their gcd; the constant machine's counts double every
-        # step, so its rows fall back to 1 there and never widen. The
+        # loop. A consistency predictor whose (node, state) pairs close
+        # within PRODUCT_PAIRS runs on the product machine, as the constant
+        # machine's own does with one pair; the others, these ensembles
+        # among them, run the count kernel, whose columns at t = 70 pass its
+        # float64 bound or its int64 bound and are divided by their gcd. The
         # consistency predictors of ``other`` and ``a`` track a machine that
-        # is not the generator, so the kernel must read the predictor's. The
+        # is not the generator, so both paths must read the predictor's. The
         # engines' shortcuts hold for the built-in classes only: a subclass
         # may guess otherwise, or have unboundedly many snapshots.
         rng = random.Random(6)
@@ -524,8 +565,12 @@ class TestMonteCarlo:
     ], ids=["widens", "stays-float64", "ensemble-stays-float64", "normalises-on-float64",
             "int64-rung", "python-ints", "ensemble-int64-rung"])
     def test_count_kernel_past_the_int64_bound(self, machine, predictor, t, rung, caplog):
+        # each row's report, whichever path ran, then the kernel itself on
+        # the same bits: "stays-float64" and "normalises-on-float64" close
+        # in a few pairs, so Monte Carlo runs them on the product machine
         caplog.set_level("DEBUG", logger="mealypred.evaluation")
         self._assert_matches_loop(machine, predictor, t)
+        self._assert_kernel_matches_loop(machine, predictor, t)
         line = [r.getMessage() for r in caplog.records if r.name == "mealypred.evaluation"][-1]
         assert re.search(r"normalised at depths \[\d", line)
         assert line.endswith(f"ended on {rung}")
@@ -560,27 +605,93 @@ class TestMonteCarlo:
 
     def test_count_kernel_logs_its_normalisations(self, caplog):
         # The constant machine's one count doubles every step, so it reaches
-        # the float64 limit 2**52 every 52 steps and its gcd brings it back to 1.
+        # the float64 limit 2**52 every 52 steps and its gcd brings it back to
+        # 1. Monte Carlo runs it on the product machine, so the kernel is
+        # driven here on the bits Monte Carlo samples.
         caplog.set_level("DEBUG", logger="mealypred.evaluation")
-        m = constant_machine(0)
-        evaluate_monte_carlo(m, ConsistencyPredictor(m), 200, 30, seed=2)
+        m, p = constant_machine(0), ConsistencyPredictor(constant_machine(0))
+        p.reset()
+        _sweep_consistency(m, p, np.random.default_rng(2).integers(0, 2, size=(30, 200), dtype=np.uint8))
         assert [r.getMessage() for r in caplog.records if r.name == "mealypred.evaluation"] == [
             "count kernel, 30 samples, t=200: columns normalised at depths [52, 104, 156], "
             "ended on float64"
         ]
 
     def test_each_path_logs_its_name(self, echo, caplog):
-        # -v names the path that ran: the count kernel, the product machine
-        # (known-state nodes are the generator's two states) or, for any
-        # other predictor, the online protocol on each sample
+        # -v names the path that ran: the product machine (the echo
+        # machine's consistency and known-state pairs are its two states),
+        # the count kernel where the product machine outgrows PRODUCT_PAIRS
+        # or, for any other predictor, the online protocol on each sample
         caplog.set_level("DEBUG", logger="mealypred.evaluation")
-        for p in (ConsistencyPredictor(echo), KnownStatePredictor(echo), _ContraryPredictor(echo)):
-            evaluate_monte_carlo(echo, p, 5, 7, seed=1)
+        for m, p in ((echo, ConsistencyPredictor(echo)), (COUNTER, ConsistencyPredictor(COUNTER)),
+                     (echo, KnownStatePredictor(echo)), (echo, _ContraryPredictor(echo))):
+            evaluate_monte_carlo(m, p, 5, 7, seed=1)
         assert [r.getMessage() for r in caplog.records if r.name == "mealypred.evaluation"] == [
+            "product machine, 7 samples, t=5: 2 (node, state) pairs expanded",
             "count kernel, 7 samples, t=5: columns normalised at depths [], ended on float64",
             "product machine, 7 samples, t=5: 2 (node, state) pairs expanded",
             "online protocol, 7 samples, t=5",
         ]
+
+    def test_product_machine_and_count_kernel_agree(self, caplog):
+        # Consistency and ensemble predictors on census-like machines: where
+        # the product machine closes within PRODUCT_PAIRS its misses equal
+        # the kernel's, per sample and per step; where it does not, it
+        # leaves the bits as sampled. At t = 80 the kernel's columns pass
+        # the float64 bound and are normalised at depth 51 or 52.
+        caplog.set_level("DEBUG", logger="mealypred.evaluation")
+        rng = random.Random(27)
+        machines = list(_census_kinds(rng))
+        closed, normalised, open_ = 0, 0, 0
+        for i, m in enumerate(machines):
+            other = machines[(i + 1) % len(machines)]
+            for p in (ConsistencyPredictor(m), ConsistencyPredictor(other),
+                      EnsemblePredictor([other, m]), EnsemblePredictor([constant_machine(i % 2), m])):
+                for t in (48, 80):
+                    bits = np.random.default_rng(i).integers(0, 2, size=(64, t), dtype=np.uint8)
+                    product, kernel = bits.copy(), bits.copy()
+                    p.reset()
+                    start = p.snapshot()
+                    ran = _sweep_product(m, p, product)
+                    assert p.snapshot() == start
+                    if not ran:
+                        assert (product == bits).all()
+                        open_ += 1
+                        continue
+                    _sweep_consistency(m, p, kernel)
+                    assert (product == kernel).all()
+                    closed += 1
+                    normalised += not caplog.records[-1].getMessage().endswith("depths [], ended on float64")
+        # every closed case at t = 80 crossed a normalisation
+        assert closed > 50 and open_ > 50 and normalised == closed // 2
+
+    def test_product_machine_pair_limit(self, caplog, monkeypatch):
+        # this consistency predictor's product machine closes at 11 pairs:
+        # it runs at a limit of 11, and the kernel runs at 10, to the same report
+        caplog.set_level("DEBUG", logger="mealypred.evaluation")
+        rng = random.Random(1)
+        m = random_machine(rng.randint(2, 6), rng)
+        monkeypatch.setattr("mealypred.evaluation.PRODUCT_PAIRS", 11)
+        closed = evaluate_monte_carlo(m, ConsistencyPredictor(m), 80, 64, seed=5, per_step=True)
+        assert caplog.records[-1].getMessage() == "product machine, 64 samples, t=80: 11 (node, state) pairs expanded"
+        monkeypatch.setattr("mealypred.evaluation.PRODUCT_PAIRS", 10)
+        assert evaluate_monte_carlo(m, ConsistencyPredictor(m), 80, 64, seed=5, per_step=True) == closed
+        assert caplog.records[-1].getMessage().startswith("count kernel, 64 samples, t=80")
+
+    def test_unbounded_product_machine_gives_way(self, caplog):
+        # The ensemble's counts over the delay machine never repeat up to
+        # scale, so a fixpoint of its pairs would never end: the product
+        # machine gives up past PRODUCT_PAIRS and the kernel runs.
+        caplog.set_level("DEBUG", logger="mealypred.evaluation")
+        m, p = delay_machine(), EnsemblePredictor([alternating_ring(), echo_machine(), delay_machine()])
+        bits = np.random.default_rng(9).integers(0, 2, size=(20, 200), dtype=np.uint8)
+        sampled = bits.copy()
+        p.reset()
+        start = p.snapshot()
+        assert not _sweep_product(m, p, bits)
+        assert (bits == sampled).all() and p.snapshot() == start
+        evaluate_monte_carlo(m, p, 200, 20, seed=9)
+        assert caplog.records[-1].getMessage().startswith("count kernel, 20 samples, t=200")
 
     def test_negative_seed_refused(self, echo):
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
@@ -682,8 +793,9 @@ class TestDeadModel:
         assert _walked(caplog) == "nodes"
 
     @pytest.mark.parametrize("make, path", [
-        (ConsistencyPredictor, "count kernel"),
-        (lambda m: EnsemblePredictor([m]), "count kernel"),
+        # the model's counts close in three (node, state) pairs, the last dead
+        (ConsistencyPredictor, "product machine"),
+        (lambda m: EnsemblePredictor([m]), "product machine"),
         (_SubConsistency, "online protocol"),
         (lambda m: _SubEnsemble([m]), "online protocol"),
     ], ids=["consistency", "ensemble", "sub-consistency", "sub-ensemble"])
@@ -692,6 +804,17 @@ class TestDeadModel:
         r = evaluate_monte_carlo(const0, make(self.MODEL), self.T, 20, seed=4, per_step=True)
         assert r.per_step_errors == self.DIES
         assert caplog.records[-1].getMessage().startswith(path)
+
+    @pytest.mark.parametrize("make", [ConsistencyPredictor, lambda m: EnsemblePredictor([m])],
+                             ids=["consistency", "ensemble"])
+    def test_count_kernel(self, const0, make):
+        # the kernel on the bits Monte Carlo samples above: a dead column is
+        # all zero and guesses 0
+        p = make(self.MODEL)
+        p.reset()
+        bits = np.random.default_rng(4).integers(0, 2, size=(20, self.T), dtype=np.uint8)
+        _sweep_consistency(const0, p, bits)
+        assert tuple(c / 20 for c in bits.sum(axis=0).tolist()) == self.DIES
 
     def test_batch_training(self, const0):
         # dead in training at the second bit, so the continuation is all right
