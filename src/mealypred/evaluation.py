@@ -2,17 +2,18 @@
 
 The exact evaluators average per-bit prediction error over every input
 sequence of a given length with one engine, a merged-frontier pass. It
-interns each predictor snapshot as an integer node and expands each item of
-the walk once into a table of its step. The per-state counts of input
-sequences consistent with the observed output are the unnormalized forward
-vector of the machine read as an edge-emitting HMM, and expected error is
-linear in them. So the engine walks the horizon depth by depth over the
-items, merges every branch that reaches an equal item and sums the errors by
-Horner's rule: ``e_ave``, ``e_wc`` and the per-step errors come out exact for
-every predictor. A consistency or ensemble node is keyed by its count vector
-over the vector's gcd, so proportional vectors, which guess alike, share a
-node, whose guess and children are read off the predictor's count table.
-Any other predictor is driven through ``snapshot``/``restore``, which every
+interns each predictor snapshot as an integer node, expands each item before
+the last depth once into a table of its step and reads the last depth's
+misses off its items' guesses. The per-state counts of input sequences
+consistent with the observed output are the unnormalized forward vector of
+the machine read as an edge-emitting HMM, and expected error is linear in
+them. So the engine walks the horizon depth by depth over the items, merges
+every branch that reaches an equal item and sums the errors by Horner's
+rule: ``e_ave``, ``e_wc`` and the per-step errors come out exact for every
+predictor. A consistency or ensemble node is keyed by its count vector over
+the vector's gcd, so proportional vectors, which guess alike, share a node,
+whose guess and children are read off the predictor's count table. Any
+other predictor is driven through ``snapshot``/``restore``, which every
 predictor has, so there is no fallback path.
 
 An item is a (node, generator state) pair. When a consistency or ensemble
@@ -20,8 +21,9 @@ predictor holds the generator itself as a member, exhaustive evaluation
 walks from its reset counts, and an item is the node alone: that block of
 its counts is the generator's own forward vector, so the sequences reaching
 a node split over the generator's states in proportion to it, and the
-node's pairs are exactly lumpable (Kemeny and Snell). A walk whose frontier
-outgrows ``FRONTIER_BUDGET`` items is refused with :class:`CapExceeded`.
+node's pairs are exactly lumpable (Kemeny and Snell). A walk is refused with
+:class:`CapExceeded` when a frontier it holds (depth 0 to t - 1, never t)
+outgrows ``FRONTIER_BUDGET`` items.
 
 In the batch setting the consistent (input sequence, machine) pairs of
 training data are the count vector of the training pool
@@ -90,7 +92,7 @@ _COUNTING = (ConsistencyPredictor, EnsemblePredictor)  # count vectors, keyed ov
 _FINITE = (KnownStatePredictor, ConstantPredictor, AutomatonPredictor)  # finitely many snapshots
 
 EXHAUSTIVE_T_CAP = 24
-FRONTIER_BUDGET = 1 << 18  # items (nodes or (node, state) pairs) of one depth; a few hundred bytes each
+FRONTIER_BUDGET = 1 << 18  # items (nodes or (node, state) pairs) of one frontier before depth t; a few hundred bytes each
 PRODUCT_PAIRS = 16  # (node, state) pairs a counting predictor's Monte Carlo product machine may expand
 _ECHO = echo_machine()  # emits its input bits, so training bits run beside it unchanged
 
@@ -247,12 +249,14 @@ class _Nodes:
     the generator is a ``block`` of a counting predictor's states, the node
     alone. Node 0 is the predictor's current snapshot. Expanding an item
     finds its guess and its node's child per observed bit, by restoring the
-    predictor and driving it, and stores the item's step. A consistency or
-    ensemble node is keyed as its count vector over the vector's gcd (an
-    all-zero vector as it is): a guess compares two sums over one vector and
-    observing is linear, so proportional vectors guess alike forever after.
-    Of exact type, such a predictor is not driven: its ``guess`` and
-    ``next_counts`` of the key give them, so it logs no elimination lines.
+    predictor and driving it, and stores the item's step; an item the walk
+    reaches only at its last depth is asked its guess and misses alone. A
+    consistency or ensemble node is keyed as its count vector over the
+    vector's gcd (an all-zero vector as it is): a guess compares two sums
+    over one vector and observing is linear, so proportional vectors guess
+    alike forever after. Of exact type, such a predictor is not driven: its
+    ``guess`` and ``next_counts`` of the key give them, so it logs no
+    elimination lines.
 
     A node item counts input sequences per unit of its block's counts, which
     split the sequences reaching the node over the generator's states. Its
@@ -302,31 +306,39 @@ class _Nodes:
             self.children[at] = self.intern(snap)
         return self.children[at]
 
+    def guess(self, item: int) -> tuple[int, int]:
+        """The guess of ``item`` and its misses per unit count."""
+        if self.block:
+            key, (a, b) = self.keys[item], self.block
+            guess = self.predictor.guess(key)
+            return guess, sum(map(operator.mul, key[a:b], self.emits[1 - guess]))
+        node, s = divmod(item, self.k)
+        p, guess = self.predictor, self.guesses.get(node)
+        if guess is None:
+            if self.counting:
+                guess = p.guess(self.keys[node])
+            else:
+                p.restore(self.keys[node])
+                p.inform_state(s)
+                guess = p.predict()
+            if self.blind:
+                self.guesses[node] = guess
+        return guess, self.out[s].count(1 - guess)
+
     def expand(self, item: int) -> tuple:
         """Store and return the step of ``item``."""
+        guess, misses = self.guess(item)
         if self.block:
-            key = self.keys[item]
-            guess, (a, b) = self.predictor.guess(key), self.block
-            reach = [sum(map(operator.mul, key[a:b], e)) for e in self.emits]
-            ends = [(*self.child(item, o), guess != o) for o in (0, 1) if reach[o]]
+            # each state has two inputs, so those emitting the guess are the
+            # rest; no edge goes out on a bit no input emits
+            hits = 2 * sum(self.keys[item][slice(*self.block)]) - misses
+            ends = [(*self.child(item, o), guess != o) for o in (0, 1) if (hits, misses)[guess != o]]
             if len(ends) == 1:
                 ends.append((ends[0][0], 0, ends[0][2]))
-            misses = reach[1 - guess]
         else:
             node, s = divmod(item, self.k)
-            p, guess = self.predictor, self.guesses.get(node)
-            if guess is None:
-                if self.counting:
-                    guess = p.guess(self.keys[node])
-                else:
-                    p.restore(self.keys[node])
-                    p.inform_state(s)
-                    guess = p.predict()
-                if self.blind:
-                    self.guesses[node] = guess
             ends = [(self.child(node, o)[0] * self.k + self.trans[s][b], 1, guess != o)
                     for b, o in enumerate(self.out[s])]
-            misses = ends[0][2] + ends[1][2]
         step = self.steps[item] = (misses, *ends[0], *ends[1])
         return step
 
@@ -342,8 +354,9 @@ def _frontier_totals(machine: MealyMachine, predictor: Predictor, t: int, start:
     are the engine's own (a node's key rescales only the predictor's), so
     they stay exact. An error at depth ``d`` stands for ``2**(t - d - 1)``
     completions, so the total is summed by Horner's rule; per-depth totals
-    are kept only for ``per_step``. A frontier of more than
-    ``FRONTIER_BUDGET`` items is refused.
+    are kept only for ``per_step``. The items of depth t - 1 give their
+    misses alone, so the frontier of depth t is never built; one of the
+    others of more than ``FRONTIER_BUDGET`` items is refused.
     """
     nodes = _Nodes(machine, predictor, block)
     steps = nodes.steps
@@ -351,7 +364,7 @@ def _frontier_totals(machine: MealyMachine, predictor: Predictor, t: int, start:
     count = {0: 1} if block else {s: n for s, n in start.items() if n}
     most = dict.fromkeys(count, 0)
     total, step, peak = 0, [] if per_step else None, len(count)
-    for depth in range(t):
+    for depth in range(t - 1):
         nc, nm, wrong = {}, {}, 0
         for at, n in count.items():
             misses, to0, w0, m0, to1, w1, m1 = steps.get(at) or nodes.expand(at)
@@ -382,10 +395,20 @@ def _frontier_totals(machine: MealyMachine, predictor: Predictor, t: int, start:
                 f"exact walk frontier reached {peak} {items} at depth "
                 f"{depth + 1}, over the budget of {FRONTIER_BUDGET}"
             )
+    # the horizon: each item's misses, from its step or else its guess alone
+    wrong = wc = 0
+    for at, n in count.items():
+        misses = steps[at][0] if at in steps else nodes.guess(at)[1]
+        wrong += n * misses
+        errs = most[at] + (misses > 0)  # its worst edge misses iff it has misses
+        wc = errs if errs > wc else wc
+    total = 2 * total + wrong
+    if per_step:
+        step.append(wrong)
     predictor.restore(nodes.root)
     log.debug("exact walk, t=%d: %d nodes interned, %d %s expanded, peak frontier %d %s",
               t, len(nodes.keys), len(steps), short, peak, items)
-    return total, max(most.values(), default=0), step
+    return total, wc, step
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +438,7 @@ def evaluate_exhaustive(
     predictor's member equal to the generator holds its forward vector, and
     the walk runs over nodes alone. Horizons above ``cap`` are refused (raise
     it deliberately or use :func:`evaluate_monte_carlo`), and so is a walk
-    whose frontier outgrows ``FRONTIER_BUDGET`` items at some depth.
+    whose frontier outgrows ``FRONTIER_BUDGET`` items at a depth below ``t``.
     """
     if t < 1:
         raise ValueError("horizon must be at least 1")

@@ -671,35 +671,45 @@ class TestReproducibility:
         ]
 
     @staticmethod
-    def _exact_walk_line(runner, tmp_path, args):
+    def _exact_walk_line(runner, tmp_path, args, e_ave):
         """Run ``args`` with and without -v; both reports must be equal and
-        give the machine's e_ave. Returns what -v logs."""
+        give ``e_ave``. Returns what -v logs."""
         quiet, loud = tmp_path / "quiet.json", tmp_path / "loud.json"
         plain = runner.invoke(main, args + ["--format", "json", "--out", str(quiet)])
         verbose = runner.invoke(main, ["-v"] + args + ["--format", "json", "--out", str(loud)])
         assert plain.exit_code == verbose.exit_code == 0
         assert quiet.read_bytes() == loud.read_bytes()
-        assert json.loads(quiet.read_text())["result"]["e_ave"] == "719/16384"
+        assert json.loads(quiet.read_text())["result"]["e_ave"] == e_ave
         assert plain.stderr == ""
         assert not logging.getLogger("mealypred").handlers
         return verbose.stderr.splitlines()
 
     def test_verbose_logs_walk_counters_and_keeps_report(self, runner, files, tmp_path):
         # consistency over a relabeled copy is not over the generator
-        # itself, so it walks (node, state) pairs
+        # itself, so it walks (node, state) pairs; the walk holds the
+        # frontiers of depths 0..t-1 and expands every item on them but
+        # those of the last
         path = tmp_path / "relabeled.mealy"
         path.write_text(serialize_machine(relabel(eight_state_example(), (0, 7, 6, 5, 4, 3, 2, 1))))
-        args = ["evaluate", "-m", files["demo8"], "--predictor-machine", str(path), "-t", "12"]
-        assert self._exact_walk_line(runner, tmp_path, args) == [
-            "mealypred.evaluation: exact walk, t=12: 22 nodes interned, "
+        args = ["evaluate", "-m", files["demo8"], "--predictor-machine", str(path), "-t"]
+        assert self._exact_walk_line(runner, tmp_path, args + ["12"], "719/16384") == [
+            "mealypred.evaluation: exact walk, t=12: 20 nodes interned, "
+            "68 pairs expanded, peak frontier 40 (node, state) pairs"
+        ]
+        assert self._exact_walk_line(runner, tmp_path, args + ["13"], "4579/106496") == [
+            "mealypred.evaluation: exact walk, t=13: 22 nodes interned, "
             "78 pairs expanded, peak frontier 46 (node, state) pairs"
         ]
 
     def test_verbose_logs_node_walk(self, runner, files, tmp_path):
         # over the generator itself, consistency walks nodes alone
-        args = ["evaluate", "-m", files["demo8"], "-t", "12"]
-        assert self._exact_walk_line(runner, tmp_path, args) == [
-            "mealypred.evaluation: exact walk, t=12: 22 nodes interned, "
+        args = ["evaluate", "-m", files["demo8"], "-t"]
+        assert self._exact_walk_line(runner, tmp_path, args + ["12"], "719/16384") == [
+            "mealypred.evaluation: exact walk, t=12: 20 nodes interned, "
+            "18 nodes expanded, peak frontier 9 nodes"
+        ]
+        assert self._exact_walk_line(runner, tmp_path, args + ["13"], "4579/106496") == [
+            "mealypred.evaluation: exact walk, t=13: 22 nodes interned, "
             "20 nodes expanded, peak frontier 10 nodes"
         ]
 

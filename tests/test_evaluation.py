@@ -1,5 +1,6 @@
 """Error metrics (exact and sampled) and batch-mode predictor selection."""
 
+import itertools
 import math
 import random
 import re
@@ -166,16 +167,27 @@ class TestExhaustive:
         assert r.per_step_errors == (0, Fraction(1), 0, Fraction(1))
 
     def test_engines_agree_with_reference_loop(self):
-        rng = random.Random(4)
-        for _ in range(25):
-            m = random_machine(rng.randint(1, 4), rng)
-            t = rng.randint(1, 7)
+        rng, more = random.Random(4), random.Random(5)
+        # every state biased: a node item whose states emit one bit only
+        # repeats its one edge at weight 0, on the horizon's items too
+        biased = MealyMachine(3, ((0, 1), (2, 1), (2, 0)), ((1, 1), (0, 0), (0, 0)))
+
+        def rows():
+            for _ in range(25):
+                yield random_machine(rng.randint(1, 4), rng), rng.randint(1, 7)
+            # at t=1 the whole walk is the horizon step
+            yield from ((m, t) for m in (eight_state_example(), biased) for t in (1, 2))
+            yield biased, 7
+
+        for m, t in rows():
             predictors = [
                 ConsistencyPredictor(m),
                 ConsistencyPredictor(random_machine(2, rng)),
                 KnownStatePredictor(m),
                 ConstantPredictor(rng.randint(0, 1)),
                 EnsemblePredictor([m, random_machine(2, rng)]),
+                AutomatonPredictor(random_machine(3, more)),
+                _SubConsistency(m),  # driven through snapshot and restore
             ]
             for p in predictors:
                 fast = evaluate_exhaustive(m, p, t, per_step=True)
@@ -223,27 +235,32 @@ class TestExhaustive:
 
     def test_frontier_budget_refused(self, monkeypatch):
         # consistency over a relabeled copy is not over the generator itself,
-        # so it walks (node, state) pairs; its frontier peaks at 46 of them,
-        # at depth 12
+        # so it walks (node, state) pairs; at t=13 the frontiers it holds,
+        # those of depths 0..12, peak at 46 pairs at depth 12
         m = eight_state_example()
         relabeled = relabel(m, (0, 7, 6, 5, 4, 3, 2, 1))
         monkeypatch.setattr("mealypred.evaluation.FRONTIER_BUDGET", 46)
-        assert evaluate_exhaustive(m, ConsistencyPredictor(relabeled), 12).e_ave == Fraction(719, 16384)
+        assert evaluate_exhaustive(m, ConsistencyPredictor(relabeled), 13).e_ave == Fraction(4579, 106496)
         monkeypatch.setattr("mealypred.evaluation.FRONTIER_BUDGET", 45)
         with pytest.raises(CapExceeded, match=r"^exact walk frontier reached 46 \(node, state\) "
                                               r"pairs at depth 12, over the budget of 45$"):
-            evaluate_exhaustive(m, ConsistencyPredictor(relabeled), 12)
+            evaluate_exhaustive(m, ConsistencyPredictor(relabeled), 13)
+        # at t=12 the depth-12 frontier is never built: 40 pairs suffice
+        monkeypatch.setattr("mealypred.evaluation.FRONTIER_BUDGET", 40)
+        assert evaluate_exhaustive(m, ConsistencyPredictor(relabeled), 12).e_ave == Fraction(719, 16384)
 
     def test_node_frontier_budget_refused(self, monkeypatch):
-        # the machine's own consistency walk goes by nodes alone; its
-        # frontier peaks at 10 of them, at depth 12
+        # the machine's own consistency walk goes by nodes alone; at t=13 the
+        # frontiers it holds peak at 10 nodes, at depth 12
         m = eight_state_example()
         monkeypatch.setattr("mealypred.evaluation.FRONTIER_BUDGET", 10)
-        assert evaluate_exhaustive(m, ConsistencyPredictor(m), 12).e_ave == Fraction(719, 16384)
+        assert evaluate_exhaustive(m, ConsistencyPredictor(m), 13).e_ave == Fraction(4579, 106496)
         monkeypatch.setattr("mealypred.evaluation.FRONTIER_BUDGET", 9)
         with pytest.raises(CapExceeded, match=r"^exact walk frontier reached 10 nodes at depth 12, "
                                               r"over the budget of 9$"):
-            evaluate_exhaustive(m, ConsistencyPredictor(m), 12)
+            evaluate_exhaustive(m, ConsistencyPredictor(m), 13)
+        # at t=12 the depth-12 frontier is never built: 9 nodes suffice
+        assert evaluate_exhaustive(m, ConsistencyPredictor(m), 12).e_ave == Fraction(719, 16384)
 
 
 def _union_rule(members, t):
@@ -295,8 +312,9 @@ class TestMergedWalk:
 
     def test_nodes_are_the_distinct_normalised_vectors(self, caplog):
         # A machine's own consistency walk reaches exactly the realisable
-        # prefixes of length 0..t, so its nodes are their count vectors over
-        # their gcd, which the oracle's level tables list independently.
+        # prefixes of length 0..t-1 (the horizon's items are read, not
+        # expanded), so its nodes are their count vectors over their gcd,
+        # which the oracle's level tables list independently.
         caplog.set_level("DEBUG", logger="mealypred.evaluation")
         merged = 0
         rng = random.Random(12)
@@ -304,7 +322,7 @@ class TestMergedWalk:
             t = 12
             evaluate_exhaustive(m, ConsistencyPredictor(m), t)
             levels = oracles.level_tables(m, t)
-            raw = {v for level in levels for v in level.values()}
+            raw = {v for level in levels[:t] for v in level.values()}
             scaled = {tuple(c // math.gcd(*v) for c in v) for v in raw}
             walk = [r.getMessage() for r in caplog.records if r.name == "mealypred.evaluation"][-1]
             assert int(re.search(r"(\d+) nodes interned", walk).group(1)) == len(scaled)
@@ -912,14 +930,15 @@ class TestBatchSelect:
         # is the mean, over the machines with a pair, of each machine's
         # average over its pairs
         rng = random.Random(14)
-        checked = 0
-        while checked < 6:
+        t, drawn = 3, []
+        while len(drawn) < 6:
             machines = (random_machine(2, rng), random_machine(2, rng))
-            t, horizon = 3, 7
             training_value = rng.randrange(1 << t)
             training = Bits(training_value, t)
-            if not any(any(training_pool((m,), training).consistency_vector) for m in machines):
-                continue
+            if any(any(training_pool((m,), training).consistency_vector) for m in machines):
+                drawn.append((machines, training))
+        # continuations of 4 and of 1, which is the horizon step alone
+        for (machines, training), horizon in itertools.product(drawn, (7, 4)):
             problem = BatchProblem(
                 machines=machines,
                 training=training,
@@ -959,7 +978,6 @@ class TestBatchSelect:
                 else:
                     expected = sum(total / n for total, n in per_machine) / len(per_machine)
                 assert score.score == expected
-            checked += 1
 
     def test_machine_uniform_weighting(self, const0):
         noisy = random_machine(2, random.Random(99))
